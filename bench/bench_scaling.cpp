@@ -296,12 +296,11 @@ Instance bench_instance(std::size_t n) {
   return Instance(std::move(items), 1.0);
 }
 
-void run(benchmark::State& state, bool reuse_engine) {
+void run(benchmark::State& state) {
   const Instance ins =
       bench_instance(static_cast<std::size_t>(state.range(0)));
   bnp::BnpOptions options;
   options.rounding_incumbent = false;
-  options.reuse_engine = reuse_engine;
   bnp::BnpResult last;
   for (auto _ : state) {
     last = bnp::solve(ins, options);
@@ -320,21 +319,10 @@ void run(benchmark::State& state, bool reuse_engine) {
 
 void BM_BranchAndPrice(benchmark::State& state) {
   // Warm path: one shared master, per-node dual re-solves (warm_phase1
-  // stays 0). Compare per-node cost against BM_BranchAndPriceColdNodes.
-  branch_and_price::run(state, /*reuse_engine=*/true);
+  // stays 0).
+  branch_and_price::run(state);
 }
 BENCHMARK(BM_BranchAndPrice)
-    ->ArgNames({"n"})
-    ->Arg(10)
-    ->Arg(14)
-    ->Arg(18)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BranchAndPriceColdNodes(benchmark::State& state) {
-  // Baseline: a fresh master built and cold-solved at every node.
-  branch_and_price::run(state, /*reuse_engine=*/false);
-}
-BENCHMARK(BM_BranchAndPriceColdNodes)
     ->ArgNames({"n"})
     ->Arg(10)
     ->Arg(14)

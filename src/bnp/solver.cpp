@@ -1,14 +1,11 @@
 #include "bnp/solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -17,7 +14,6 @@
 #include "bnp/worker_pool.hpp"
 #include "release/integralize.hpp"
 #include "util/assert.hpp"
-#include "util/stopwatch.hpp"
 
 namespace stripack::bnp {
 
@@ -340,9 +336,9 @@ void accumulate(BnpResult& result, const release::PricingStats& s) {
       std::max(result.pricing_cache_patterns, s.cache_patterns);
 }
 
-// The whole search state threaded through the root handling, the serial
-// path and the batch path. Keeping it in one struct (instead of a dozen
-// lambda captures) makes the two search drivers readable.
+// The whole search state threaded through the root handling and the node
+// loop. Keeping it in one struct (instead of a dozen lambda captures)
+// keeps the loop readable.
 struct Search {
   Search(const BnpOptions& opts, const release::ConfigLpProblem& prob,
          release::ConfigLpSolver& s)
@@ -358,18 +354,14 @@ struct Search {
   // Branch rows shared across nodes through (sense, predicate) keys; rows
   // are created parked at their neutral rhs and activated per node.
   std::map<RowKey, int> row_by_key;
-  // Serial path: rows active at the previously evaluated node, sorted —
-  // the activation diff binary-searches and reserves instead of scanning
-  // every materialized row.
-  std::vector<int> previously_active;
   bool stalled = false;
   double stalled_bound = std::numeric_limits<double>::infinity();
   double tol = 1e-6;
   std::size_t phases = 0;
   // Conflict learning (bnp/conflicts), engaged iff options.use_conflicts.
-  // Both are touched only from serial contexts (the serial/cold loops and
-  // the batch driver's id-ordered merge loop), so prunes are identical
-  // across thread counts.
+  // Both are touched only from serial contexts (the root, and the node
+  // loop's pop-order merge), so prunes are identical across thread
+  // counts.
   std::optional<conflicts::NogoodStore> nogoods;
   std::optional<conflicts::Propagator> propagator;
   // Row -> literal identity, the inverse of ensure_row: turns a Farkas
@@ -393,8 +385,8 @@ struct Search {
     // bound. Fresh masters never hit the lookup (no rows yet).
     int row = solver.find_branch_row(d.pred, d.sense);
     if (row < 0) row = solver.add_branch_row(d.pred, d.sense, d.rhs);
-    // Park immediately: both search drivers treat "not on the active
-    // path" as neutral, and batch clones must snapshot neutral rows.
+    // Park immediately: both executors treat "not on the active path" as
+    // neutral, and batch clones must snapshot neutral rows.
     solver.deactivate_branch_row(row);
     row_by_key.emplace(key, row);
     if (nogoods) pred_by_row.emplace(row, std::make_pair(d.pred, d.sense));
@@ -454,9 +446,9 @@ struct Search {
     return std::max(0.0, tree.incumbent() - 0.9);
   }
 
-  // Stall-gate observation: called once per node (serial/cold) or once
-  // per batch round, *before* the pop — a pure function of tree state at
-  // that boundary, so the gate is identical across thread counts.
+  // Stall-gate observation: called once per round of the node loop,
+  // *before* the pop — a pure function of tree state at that boundary,
+  // so the gate is identical across thread counts.
   void observe_bound() {
     if (!options.pseudo_cost_branching ||
         options.pseudo_cost_stall_gate <= 0) {
@@ -484,16 +476,13 @@ struct Search {
   // rows that were *parked* at this node: the parked rhs is the loosest
   // any node ever holds, so every node's activation only tightens it and
   // the certificate survives (rhs monotonicity; see bnp/conflicts).
-  void learn_from(
-      const release::FractionalSolution& sol,
-      const std::vector<std::pair<int, double>>& path,
-      const std::map<int, std::pair<release::BranchPredicate, lp::Sense>>&
-          rows) {
+  void learn_from(const release::FractionalSolution& sol,
+                  const std::vector<std::pair<int, double>>& path) {
     if (!nogoods || sol.farkas_branch_rows.empty()) return;
     learn_lits.clear();
     for (const auto& [row, mult] : sol.farkas_branch_rows) {
-      const auto rit = rows.find(row);
-      if (rit == rows.end()) continue;  // not a row this search activates
+      const auto rit = pred_by_row.find(row);
+      if (rit == pred_by_row.end()) continue;  // not a search branch row
       double rhs = 0.0;
       bool active = false;
       for (const auto& [prow, prhs] : path) {
@@ -591,6 +580,40 @@ struct Search {
     try_child(id, std::move(le), bound);
     try_child(id, std::move(ge), bound);
   }
+
+  // Merges one evaluated node: accounting, adoption of the columns a
+  // clone priced, then the verdict. False when the LP gave none —
+  // IterationLimit is "unknown", not "proven empty", so the caller stops
+  // with the bracket rather than mis-prune.
+  [[nodiscard]] bool merge(int id, const NodeEvaluation& eval,
+                           const std::vector<std::pair<int, double>>& path) {
+    ++result.nodes;
+    accumulate(result, eval.solution);
+    accumulate(result, eval.pricing);
+    result.node_retries += eval.retries;
+    for (const release::AdoptableColumn& col : eval.new_columns) {
+      (void)solver.adopt_column(col.config, col.phase);
+    }
+    const release::FractionalSolution& sol = eval.solution;
+    if (sol.cutoff_pruned) {
+      ++result.cutoff_pruned_nodes;
+      return true;  // certified: the subtree cannot beat the incumbent
+    }
+    if (sol.status == lp::SolveStatus::Infeasible) {  // certified
+      // Clones share the master's row indices, so the path and the
+      // projection line up; learning in merge order keeps the store
+      // identical across thread counts.
+      learn_from(sol, path);
+      return true;
+    }
+    if (!sol.feasible) return false;
+    // A node evaluated against a frozen incumbent may be prunable by one
+    // found earlier in this very round; process() handles that through
+    // its bound check (deterministically — merge order).
+    observe_gain(id, sol.objective);
+    process(id, sol);
+    return true;
+  }
 };
 
 // Root strong branching: solve both children's LPs for the top-K most
@@ -650,7 +673,7 @@ void strong_branch_root(Search& search,
         // any other — future children re-activating this literal are
         // pruned without an LP.
         probe_path.assign(1, {row, rhs});
-        search.learn_from(sol, probe_path, search.pred_by_row);
+        search.learn_from(sol, probe_path);
         objective = root.objective + gain_cap;
       } else if (sol.feasible) {
         objective = sol.objective;
@@ -676,120 +699,74 @@ void strong_branch_root(Search& search,
   }
 }
 
-// Classic serial driver (node_batch == 1, threads == 1): every node
-// re-solves the one shared master in place — each node sees all columns
-// priced before it, and sibling hops reuse the previous node's basis.
-void run_serial(Search& search, const Stopwatch& watch) {
-  BnpResult& result = search.result;
-  NodeTree& tree = search.tree;
-  std::vector<std::pair<int, double>> path;
-  std::vector<int> active;
+// In-place executor (one node per round, one thread; the default): the
+// node re-solves the one shared master itself, so it sees every column
+// priced before it and sibling hops reuse the previous node's basis. Only
+// the diff against the previously evaluated node's path is touched, so
+// activation costs O(path log path) rather than O(all rows) per node.
+class InPlaceExecutor {
+ public:
+  [[nodiscard]] NodeEvaluation evaluate(release::ConfigLpSolver& master,
+                                        const NodeTask& task, double cutoff,
+                                        std::optional<double> height_cap) {
+    rows_.clear();
+    for (const auto& entry : task.path) rows_.push_back(entry.first);
+    std::sort(rows_.begin(), rows_.end());
+    for (const int row : active_) {
+      if (!std::binary_search(rows_.begin(), rows_.end(), row)) {
+        master.deactivate_branch_row(row);
+      }
+    }
+    std::swap(active_, rows_);
+    NodeEvaluation eval = solve_node(master, task.path, cutoff, height_cap);
+    const release::FractionalSolution& sol = eval.solution;
+    // Farkas-repaired re-solves (a capped master that dipped infeasible
+    // before pricing restored it) legitimately pass through phase 1, as
+    // does an uncapped re-solve recovering from an exhausted capped one.
+    STRIPACK_ASSERT(warm_path_ok(sol) || prev_infeasible_ ||
+                        sol.farkas_rounds > 0 || eval.uncapped_fallback,
+                    "branch-and-price node re-solve left the warm path");
+    prev_infeasible_ = sol.status == lp::SolveStatus::Infeasible;
+    return eval;
+  }
+
+ private:
+  std::vector<int> active_;  // rows active at the previous node, sorted
+  std::vector<int> rows_;    // scratch: this node's rows, sorted
   // A certified-infeasible node leaves the engine without an optimal
   // basis, so the *next* re-solve may legitimately re-enter phase 1 —
   // the one excusable departure from the dual warm path.
-  bool prev_infeasible = false;
+  bool prev_infeasible_ = false;
+};
+
+// The node loop. Each round pops up to `batch_size` open nodes
+// best-first, evaluates them — in place on the shared master (one node,
+// one thread) or on per-node clones of the frozen master
+// (bnp/worker_pool) — and merges the results in pop order. Clone rounds
+// are deterministic for any thread count at a fixed batch size: the
+// master's own rows stay parked, and one refresh per round adopts the
+// clones' columns.
+void run_search(Search& search, const lp::StopToken& stop, int batch_size,
+                int threads) {
+  BnpResult& result = search.result;
+  NodeTree& tree = search.tree;
+  InPlaceExecutor in_place;
+  std::optional<BnpWorkerPool> pool;
+  if (batch_size > 1 || threads > 1) pool.emplace(threads);
+  std::vector<int> ids;
+  std::vector<NodeTask> tasks;
+  std::vector<NodeEvaluation> evals;
+  std::vector<int> path_rows;
   while (!tree.done()) {
     if (result.nodes >= search.options.budget.max_nodes) {
       result.status = BnpStatus::NodeLimit;
       break;
     }
-    if (search.options.budget.max_seconds > 0.0 &&
-        watch.seconds() > search.options.budget.max_seconds) {
+    if (stop.expired()) {
       result.status = BnpStatus::TimeLimit;
       break;
     }
     search.observe_bound();
-    const std::optional<int> popped = tree.pop_best();
-    if (!popped) break;
-    const int id = *popped;
-    if (tree.node(id).bound >= tree.incumbent() - 0.5) continue;
-    ++result.nodes;
-
-    // Activate exactly this node's path and dual re-solve warm. Only the
-    // diff against the previously active node is touched, so activation
-    // costs O(path log path) rather than O(all rows) per node.
-    search.node_path(id, path, active);
-    for (const int row : search.previously_active) {
-      if (!std::binary_search(active.begin(), active.end(), row)) {
-        search.solver.deactivate_branch_row(row);
-      }
-    }
-    for (const auto& [row, rhs] : path) {
-      search.solver.set_branch_row_rhs(row, rhs);
-    }
-    search.previously_active = std::move(active);
-    active = {};
-    const bool capped = search.cap_mode();
-    search.solver.set_node_cutoff(
-        capped ? std::numeric_limits<double>::infinity()
-               : search.cutoff());
-    release::FractionalSolution sol =
-        capped ? search.solver.resolve_with_height_cap(search.cap_rhs())
-               : search.solver.resolve();
-    bool fell_back = false;
-    if (capped && !sol.feasible &&
-        sol.status != lp::SolveStatus::Infeasible) {
-      // A cap binding right at the LP optimum can exhaust the iteration
-      // budget without a verdict; re-solve this one node uncapped on the
-      // classic Lagrangian path (a pure function of the node, so the
-      // fallback is deterministic) instead of stalling the search.
-      search.solver.clear_height_cap();
-      search.solver.set_node_cutoff(search.cutoff());
-      sol = search.solver.resolve();
-      fell_back = true;
-    }
-    accumulate(result, sol);
-    // Farkas-repaired re-solves (a capped master that dipped infeasible
-    // before pricing restored it) legitimately pass through phase 1, as
-    // does a fallback re-solve recovering from an exhausted capped one.
-    STRIPACK_ASSERT(warm_path_ok(sol) || prev_infeasible ||
-                        sol.farkas_rounds > 0 || fell_back,
-                    "branch-and-price node re-solve left the warm path");
-    prev_infeasible = sol.status == lp::SolveStatus::Infeasible;
-
-    if (sol.cutoff_pruned) {
-      ++result.cutoff_pruned_nodes;
-      continue;  // certified: the subtree cannot beat the incumbent
-    }
-    if (sol.status == lp::SolveStatus::Infeasible) {  // certified
-      search.learn_from(sol, path, search.pred_by_row);
-      continue;
-    }
-    if (!sol.feasible) {
-      // IterationLimit is "unknown", not "proven empty": stop with the
-      // bracket rather than mis-prune.
-      search.stalled = true;
-      search.stalled_bound = tree.node(id).bound;
-      break;
-    }
-    search.observe_gain(id, sol.objective);
-    search.process(id, sol);
-  }
-}
-
-// Batch-synchronous driver: pop the top-B open nodes, evaluate them
-// concurrently on per-node clones of the frozen master, then merge
-// children, incumbents, pseudo costs and priced columns back in node-id
-// order. Deterministic for any thread count at a fixed B (see
-// bnp/worker_pool); the master's own rows stay permanently neutral.
-void run_batched(Search& search, const Stopwatch& watch, int batch_size) {
-  BnpResult& result = search.result;
-  NodeTree& tree = search.tree;
-  BnpWorkerPool pool(search.options.threads);
-  std::vector<int> ids;
-  std::vector<NodeTask> tasks;
-  std::vector<int> active_scratch;
-  while (!tree.done()) {
-    if (result.nodes >= search.options.budget.max_nodes) {
-      result.status = BnpStatus::NodeLimit;
-      break;
-    }
-    if (search.options.budget.max_seconds > 0.0 &&
-        watch.seconds() > search.options.budget.max_seconds) {
-      result.status = BnpStatus::TimeLimit;
-      break;
-    }
-    search.observe_bound();  // once per batch round: the batch analogue
     const std::size_t allowance = std::min(
         static_cast<std::size_t>(batch_size),
         search.options.budget.max_nodes - result.nodes);
@@ -801,152 +778,51 @@ void run_batched(Search& search, const Stopwatch& watch, int batch_size) {
       if (tree.node(*popped).bound >= tree.incumbent() - 0.5) continue;
       ids.push_back(*popped);
       tasks.emplace_back();
-      search.node_path(*popped, tasks.back().path, active_scratch);
+      search.node_path(*popped, tasks.back().path, path_rows);
     }
     if (ids.empty()) break;
 
-    // In cap mode the cap is frozen per round alongside the incumbent
-    // (it is a function of the tree at the pop boundary), so every
-    // worker sees the same rhs regardless of thread count.
+    // The cutoff and, in cap mode, the cap are frozen per round with the
+    // incumbent (functions of the tree at the pop boundary), so every
+    // clone sees the same values regardless of thread count.
+    const double cutoff = search.cutoff();
     const std::optional<double> height_cap =
         search.cap_mode() ? std::optional<double>(search.cap_rhs())
                           : std::nullopt;
-    const std::vector<NodeEvaluation> evals = pool.evaluate(
-        search.solver, tasks, search.cutoff(), height_cap);
-    ++result.batches;
+    if (pool) {
+      evals = pool->evaluate(search.solver, tasks, cutoff, height_cap);
+      ++result.batches;
+    } else {
+      evals.clear();
+      evals.push_back(
+          in_place.evaluate(search.solver, tasks.front(), cutoff, height_cap));
+    }
 
-    // Merge in node-id order (ids are popped best-first = id-ascending on
-    // ties, and each eval only depends on its own task, so this order is
-    // the canonical serial one).
+    // Pop order is best-first with id-ascending ties, and each evaluation
+    // depends only on its own task, so this is the canonical serial order.
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      const int id = ids[i];
-      const NodeEvaluation& eval = evals[i];
-      ++result.nodes;
-      accumulate(result, eval.solution);
-      accumulate(result, eval.pricing);
-      result.node_retries += eval.retries;
-      for (const release::AdoptableColumn& col : eval.new_columns) {
-        (void)search.solver.adopt_column(col.config, col.phase);
-      }
-      const release::FractionalSolution& sol = eval.solution;
-      if (sol.cutoff_pruned) {
-        ++result.cutoff_pruned_nodes;
-        continue;
-      }
-      if (sol.status == lp::SolveStatus::Infeasible) {
-        // Clones share the master's row indices, so the task's path and
-        // the projection line up; learning here — inside the id-ordered
-        // merge loop — keeps the store identical across thread counts.
-        search.learn_from(sol, tasks[i].path, search.pred_by_row);
-        continue;
-      }
-      if (!sol.feasible) {
-        search.stalled = true;
-        // The whole remainder of the batch leaves the open set here; fold
-        // every unprocessed bound into the bracket so the reported dual
-        // bound never overclaims.
-        for (std::size_t k = i; k < ids.size(); ++k) {
-          search.stalled_bound =
-              std::min(search.stalled_bound, tree.node(ids[k]).bound);
-        }
-        break;
-      }
-      // Nodes evaluated against the frozen incumbent may be prunable by a
-      // sibling's incumbent found in this very batch; process() handles
-      // that through its bound check (deterministically — merge order).
-      search.observe_gain(id, sol.objective);
-      search.process(id, sol);
-    }
-    if (search.stalled) break;
-
-    // Refresh the master every batch: pick up adopted columns and
-    // freshly materialized (neutral) child rows, and leave a root-optimal
-    // basis as the next batch's clone snapshot.
-    search.solver.set_node_cutoff(std::numeric_limits<double>::infinity());
-    const release::FractionalSolution refreshed = search.solver.resolve();
-    accumulate(result, refreshed);
-    STRIPACK_ASSERT(warm_path_ok(refreshed),
-                    "master refresh left the warm path");
-  }
-}
-
-// Cold baseline driver (reuse_engine == false): a fresh master built and
-// cold-solved at every node — BM_BranchAndPrice's comparison arm.
-void run_cold(Search& search, const Stopwatch& watch) {
-  BnpResult& result = search.result;
-  NodeTree& tree = search.tree;
-  while (!tree.done()) {
-    if (result.nodes >= search.options.budget.max_nodes) {
-      result.status = BnpStatus::NodeLimit;
-      break;
-    }
-    if (search.options.budget.max_seconds > 0.0 &&
-        watch.seconds() > search.options.budget.max_seconds) {
-      result.status = BnpStatus::TimeLimit;
-      break;
-    }
-    search.observe_bound();
-    const std::optional<int> popped = tree.pop_best();
-    if (!popped) break;
-    const int id = *popped;
-    if (tree.node(id).bound >= tree.incumbent() - 0.5) continue;
-    ++result.nodes;
-
-    release::ConfigLpSolver fresh(search.problem, search.options.lp);
-    release::FractionalSolution fresh_root = fresh.solve();
-    accumulate(result, fresh_root);
-    if (!fresh_root.feasible) {
+      if (search.merge(ids[i], evals[i], tasks[i].path)) continue;
+      // The rest of the round leaves the open set here; fold every
+      // unprocessed bound into the bracket so the reported dual bound
+      // never overclaims.
       search.stalled = true;
-      search.stalled_bound = tree.node(id).bound;
-      break;
-    }
-    std::set<RowKey> seen;
-    // The fresh master's row indices are node-local; carry a local path
-    // and row map so learning can still translate its Farkas projection.
-    std::vector<std::pair<int, double>> cold_path;
-    std::map<int, std::pair<release::BranchPredicate, lp::Sense>> cold_rows;
-    for (int n = id; tree.node(n).parent >= 0; n = tree.node(n).parent) {
-      const BranchDecision& d = tree.node(n).decision;
-      if (seen.insert(row_key(d)).second) {
-        const int row = fresh.add_branch_row(d.pred, d.sense, d.rhs);
-        cold_path.push_back({row, d.rhs});
-        cold_rows.emplace(row, std::make_pair(d.pred, d.sense));
+      for (std::size_t k = i; k < ids.size(); ++k) {
+        search.stalled_bound =
+            std::min(search.stalled_bound, tree.node(ids[k]).bound);
       }
+      return;
     }
-    result.branch_rows = std::max(result.branch_rows, seen.size());
-    const bool capped = search.cap_mode();
-    if (capped) fresh.ensure_height_cap_row();
-    fresh.set_node_cutoff(capped
-                              ? std::numeric_limits<double>::infinity()
-                              : search.cutoff());
-    release::FractionalSolution sol =
-        capped ? fresh.resolve_with_height_cap(search.cap_rhs())
-               : fresh.resolve();
-    if (capped && !sol.feasible &&
-        sol.status != lp::SolveStatus::Infeasible) {
-      // Same verdict-less fallback as the serial driver.
-      fresh.clear_height_cap();
-      fresh.set_node_cutoff(search.cutoff());
-      sol = fresh.resolve();
-    }
-    accumulate(result, sol);
-    accumulate(result, fresh.pricing_stats());
 
-    if (sol.cutoff_pruned) {
-      ++result.cutoff_pruned_nodes;
-      continue;
+    if (pool) {
+      // Refresh the master every round: pick up adopted columns and
+      // freshly materialized (neutral) child rows, and leave a
+      // root-optimal basis as the next round's clone snapshot.
+      search.solver.set_node_cutoff(std::numeric_limits<double>::infinity());
+      const release::FractionalSolution refreshed = search.solver.resolve();
+      accumulate(result, refreshed);
+      STRIPACK_ASSERT(warm_path_ok(refreshed),
+                      "master refresh left the warm path");
     }
-    if (sol.status == lp::SolveStatus::Infeasible) {
-      search.learn_from(sol, cold_path, cold_rows);
-      continue;
-    }
-    if (!sol.feasible) {
-      search.stalled = true;
-      search.stalled_bound = tree.node(id).bound;
-      break;
-    }
-    search.observe_gain(id, sol.objective);
-    search.process(id, sol);
   }
 }
 
@@ -961,12 +837,11 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   STRIPACK_EXPECTS(!instance.has_precedence());
   STRIPACK_EXPECTS(options.threads >= 0);
   STRIPACK_EXPECTS(options.node_batch >= 0);
-  STRIPACK_EXPECTS(master == nullptr || options.reuse_engine);
   for (const Item& it : instance.items()) {
     STRIPACK_EXPECTS(near_int(it.height(), 1e-6));
     STRIPACK_EXPECTS(near_int(it.release, 1e-6));
   }
-  const Stopwatch watch;
+  const auto start = lp::StopToken::Clock::now();
   const release::ConfigLpProblem problem = release::make_problem(instance);
   const double rho_r = problem.releases.back();
 
@@ -974,58 +849,38 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   // The pattern cache lives inside the ConfigLpSolver (and its clones).
   local.lp.use_pricing_cache =
       options.pricing_cache && local.lp.use_column_generation;
-  const int threads = local.threads == 0
-                          ? static_cast<int>(std::max(
-                                1u, std::thread::hardware_concurrency()))
-                          : local.threads;
+  const int threads = resolve_threads(local.threads);
   int batch = local.node_batch;
   if (batch == 0) batch = threads > 1 ? 4 * threads : 1;
-  const bool batch_mode =
-      local.reuse_engine && (batch > 1 || threads > 1);
 
-  // Anytime deadline: a watchdog thread trips the stop token once the
-  // wall clock passes the budget (or the caller's own stop flag flips),
-  // and the token is threaded into every LP (re-)solve — so the deadline
+  // Anytime deadline: the budget becomes the stop token's deadline (next
+  // to the caller's own flag), and the token is threaded into every LP
+  // (re-)solve — node clones on worker threads included — so the deadline
   // interrupts at *pivot boundaries* inside a node LP, not just between
-  // nodes. An interrupted LP reports IterationLimit (no certificate); the
-  // drivers fold the node's pre-solve tree bound into the bracket, so
-  // `dual_bound` stays valid on every exit path.
-  std::atomic<bool> stop_flag{false};
-  struct Watchdog {
-    std::atomic<bool> quit{false};
-    std::thread thread;
-    ~Watchdog() {
-      quit.store(true, std::memory_order_relaxed);
-      if (thread.joinable()) thread.join();
-    }
-  } watchdog;
+  // nodes, with no thread watching the clock. An interrupted LP reports
+  // IterationLimit (no certificate); the node loop folds the node's
+  // pre-solve tree bound into the bracket, so `dual_bound` stays valid on
+  // every exit path.
+  lp::StopToken& stop = local.lp.stop;
   if (local.budget.max_seconds > 0.0) {
-    const std::atomic<bool>* caller_stop = local.lp.stop;
-    const double deadline = local.budget.max_seconds;
-    watchdog.thread = std::thread([&watch, &watchdog, &stop_flag,
-                                   caller_stop, deadline] {
-      while (!watchdog.quit.load(std::memory_order_relaxed)) {
-        if (watch.seconds() > deadline ||
-            (caller_stop != nullptr &&
-             caller_stop->load(std::memory_order_relaxed))) {
-          stop_flag.store(true, std::memory_order_relaxed);
-          return;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-    local.lp.stop = &stop_flag;
+    // At most about 31 years, so the conversion to clock ticks is exact.
+    using Ticks = lp::StopToken::Clock::duration;
+    const std::chrono::duration<double> budget(
+        std::min(local.budget.max_seconds, 1e9));
+    stop.deadline = std::min(
+        stop.deadline, start + std::chrono::duration_cast<Ticks>(budget));
   }
 
   std::optional<release::ConfigLpSolver> owned;
   if (master == nullptr) owned.emplace(problem, local.lp);
   release::ConfigLpSolver& solver = master != nullptr ? *master : *owned;
-  // Warm masters outlive `stop_flag` (a stack local): whatever token this
-  // call installs must be cleared before returning, on every exit path.
+  // A warm master outlives this call: the token installed below (this
+  // request's deadline, the caller's flag) must be cleared before
+  // returning, on every exit path.
   struct StopGuard {
     release::ConfigLpSolver* solver = nullptr;
     ~StopGuard() {
-      if (solver != nullptr) solver->set_stop(nullptr);
+      if (solver != nullptr) solver->set_stop({});
     }
   } stop_guard;
   release::FractionalSolution root;
@@ -1039,7 +894,7 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
     STRIPACK_EXPECTS(mp.releases == problem.releases);
     STRIPACK_EXPECTS(mp.strip_width == problem.strip_width);
     STRIPACK_EXPECTS(mp.demand == problem.demand);
-    master->set_stop(local.lp.stop);
+    master->set_stop(stop);
     stop_guard.solver = master;
     if (master->solved()) {
       // Demand is pure rhs in the differenced formulation: re-bind the
@@ -1099,22 +954,14 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   result.nodes = 1;
   (void)search.tree.pop_best();  // the root: its LP is the solve above
   if (root.feasible) {
-    if (local.reuse_engine) strong_branch_root(search, root);
+    strong_branch_root(search, root);
     search.process(0, root);
   } else {
     search.stalled = true;
     search.stalled_bound = search.tree.node(0).bound;
   }
 
-  if (!search.stalled) {
-    if (!local.reuse_engine) {
-      run_cold(search, watch);
-    } else if (batch_mode) {
-      run_batched(search, watch, batch);
-    } else {
-      run_serial(search, watch);
-    }
-  }
+  if (!search.stalled) run_search(search, stop, batch, threads);
 
   result.nodes_created = search.tree.created();
   if (search.nogoods) {
@@ -1123,22 +970,14 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
     result.nogoods_evicted = search.nogoods->evicted();
     result.nogood_store_size = search.nogoods->size();
   }
-  // Warm mode materializes rows once in the shared master; cold mode
-  // reports the deepest per-node row count instead.
-  result.branch_rows =
-      std::max(result.branch_rows, search.row_by_key.size());
-  if (local.reuse_engine) {
-    accumulate(result, solver.pricing_stats());
-  }
+  result.branch_rows = search.row_by_key.size();
+  accumulate(result, solver.pricing_stats());
   if (search.stalled) {
     // A stall caused by the deadline tripping mid-LP (the interrupted
     // solve reports no certificate, exactly like a numerical stall) is a
     // TimeLimit, not a numerical verdict; the bracket was folded into
     // `stalled_bound` either way.
-    result.status = local.budget.max_seconds > 0.0 &&
-                            watch.seconds() > local.budget.max_seconds
-                        ? BnpStatus::TimeLimit
-                        : BnpStatus::Stalled;
+    result.status = stop.expired() ? BnpStatus::TimeLimit : BnpStatus::Stalled;
   }
 
   const double incumbent_obj = search.tree.incumbent();

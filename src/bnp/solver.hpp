@@ -74,14 +74,10 @@ struct BnpOptions {
   /// supply, ceil phase-R, repair the lost coverage with phase-R
   /// singletons) instead of only the trivial stack-everything solution.
   bool rounding_incumbent = true;
-  /// Share one warm `ConfigLpSolver` engine across all nodes (the
-  /// default); false re-builds and cold-solves the master at every node —
-  /// the baseline `BM_BranchAndPrice` compares against.
-  bool reuse_engine = true;
-  /// Worker threads for batch node evaluation (requires `reuse_engine`):
-  /// 1 = serial (the default), 0 = hardware concurrency. For a fixed
-  /// `node_batch`, every thread count produces the bit-identical search
-  /// (tree, bounds, slices, packing) — see bnp/worker_pool.
+  /// Worker threads for batch node evaluation: 1 = serial (the default),
+  /// 0 = hardware concurrency. For a fixed `node_batch`, every thread
+  /// count produces the bit-identical search (tree, bounds, slices,
+  /// packing) — see bnp/worker_pool.
   int threads = 1;
   /// Nodes per batch-synchronous round. 1 (with threads == 1) keeps the
   /// classic serial semantics: each node re-solves the one shared master
@@ -142,8 +138,8 @@ struct BnpOptions {
   /// Auto-gate for pseudo-cost branching (the n=120 regression fix):
   /// fall back to most-fractional selection once the proven dual bound
   /// has sat still for this many consecutive observations — one per
-  /// node on the serial/cold paths, one per batch-synchronous round —
-  /// and re-engage the moment the bound moves again. Gain observation
+  /// round of the node loop (a single node on the in-place path) — and
+  /// re-engage the moment the bound moves again. Gain observation
   /// never stops, so the table stays warm for the re-engage. 0 leaves
   /// pseudo costs permanently on. Deterministic: the gate is a function
   /// of tree state at (batch) boundaries only.
@@ -170,18 +166,18 @@ struct BnpResult {
   // Search diagnostics.
   std::size_t nodes = 0;          // processed
   std::size_t nodes_created = 0;  // including never-popped children
-  std::size_t branch_rows = 0;    // distinct rows materialized
+  std::size_t branch_rows = 0;    // distinct rows in the master
   std::size_t columns = 0;        // master columns at the end
   std::int64_t lp_iterations = 0;
   std::int64_t dual_iterations = 0;
   /// Phase-1 pivots across all warm node re-solves: 0 on the warm path
-  /// (asserted internally when `reuse_engine` runs serially; worker
-  /// clones may fall back to a cold start if a snapshot basis fails to
-  /// load, which is deterministic and merely slower).
+  /// (asserted on every in-place node re-solve; worker clones may fall
+  /// back to a cold start if a snapshot basis fails to load, which is
+  /// deterministic and merely slower).
   std::int64_t warm_phase1_iterations = 0;
   int farkas_rounds = 0;
   std::size_t farkas_columns = 0;
-  /// Batch-synchronous rounds executed (0 on the classic serial path).
+  /// Batch-synchronous rounds executed (0 on the in-place path).
   std::size_t batches = 0;
   /// Nodes pruned by the Lagrangian early-termination bound before their
   /// LP was solved to optimality.
@@ -239,11 +235,11 @@ struct BnpResult {
 /// from the previous request's basis, reusing the whole column pool,
 /// materialized branch rows (deduplicated by predicate, re-parked
 /// per request) and pricing-cache entries. On a never-solved master the
-/// first request performs the cold solve. Requires
-/// `options.reuse_engine`; `options.lp` is ignored in favor of the
-/// master's own configuration, except that the anytime stop token is
-/// installed via `ConfigLpSolver::set_stop` for the duration of the
-/// call. Same anytime contract as `solve`.
+/// first request performs the cold solve. `options.lp` is ignored in
+/// favor of the master's own configuration, except that the anytime stop
+/// token (the caller's flag plus this call's deadline) is installed via
+/// `ConfigLpSolver::set_stop` for the duration of the call. Same anytime
+/// contract as `solve`.
 [[nodiscard]] BnpResult solve_warm(const Instance& instance,
                                    const BnpOptions& options,
                                    release::ConfigLpSolver& master);

@@ -6,12 +6,42 @@
 
 namespace stripack::bnp {
 
-BnpWorkerPool::BnpWorkerPool(int threads) {
+int resolve_threads(int threads) {
   if (threads == 0) {
     threads = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
-  threads_ = std::max(threads, 1);
+  return std::max(threads, 1);
+}
+
+NodeEvaluation solve_node(release::ConfigLpSolver& solver,
+                          std::span<const std::pair<int, double>> path,
+                          double cutoff, std::optional<double> height_cap) {
+  for (const auto& [row, rhs] : path) solver.set_branch_row_rhs(row, rhs);
+  NodeEvaluation out;
+  // The cap row is appended after every branch row, so the path's master
+  // row indices — and the solver's Farkas projection onto them — are
+  // unaffected by it. Capped solves park the Lagrangian cutoff (the
+  // infeasibility proof must run to completion to certify).
+  solver.set_node_cutoff(height_cap ? std::numeric_limits<double>::infinity()
+                                    : cutoff);
+  out.solution = height_cap ? solver.resolve_with_height_cap(*height_cap)
+                            : solver.resolve();
+  if (height_cap && !out.solution.feasible &&
+      out.solution.status != lp::SolveStatus::Infeasible) {
+    // A cap binding right at the LP optimum can exhaust the iteration
+    // budget without a verdict: re-solve this one node uncapped on the
+    // Lagrangian path (a pure function of the node, so the fallback is
+    // deterministic) instead of stalling the search.
+    solver.clear_height_cap();
+    solver.set_node_cutoff(cutoff);
+    out.solution = solver.resolve();
+    out.uncapped_fallback = true;
+  }
+  return out;
+}
+
+BnpWorkerPool::BnpWorkerPool(int threads) : threads_(resolve_threads(threads)) {
   if (threads_ > 1) {
     // One worker less than requested: the calling thread participates in
     // ThreadPool::run, so `threads_` OS threads execute tasks in total.
@@ -29,27 +59,7 @@ std::vector<NodeEvaluation> BnpWorkerPool::evaluate(
   const auto evaluate_node = [&](std::size_t i, NodeEvaluation& out) {
     release::ConfigLpSolver clone = master.clone();
     const std::size_t snapshot_columns = clone.num_columns();
-    for (const auto& [row, rhs] : tasks[i].path) {
-      clone.set_branch_row_rhs(row, rhs);
-    }
-    // The cap row is appended after every branch row, so the task path's
-    // master row indices — and the solver's Farkas projection onto them
-    // — are unaffected by it. Capped solves park the Lagrangian cutoff
-    // (the infeasibility proof must run to completion to certify).
-    clone.set_node_cutoff(height_cap
-                              ? std::numeric_limits<double>::infinity()
-                              : cutoff);
-    out.solution = height_cap ? clone.resolve_with_height_cap(*height_cap)
-                              : clone.resolve();
-    if (height_cap && !out.solution.feasible &&
-        out.solution.status != lp::SolveStatus::Infeasible) {
-      // No verdict under the cap (iteration limit at the boundary):
-      // deterministically fall back to the uncapped Lagrangian path for
-      // this node before the caller's retry ladder gets involved.
-      clone.clear_height_cap();
-      clone.set_node_cutoff(cutoff);
-      out.solution = clone.resolve();
-    }
+    out = solve_node(clone, tasks[i].path, cutoff, height_cap);
     out.new_columns = clone.columns_since(snapshot_columns);
     out.pricing = clone.pricing_stats();
   };

@@ -1,4 +1,10 @@
-// Deterministic parallel node evaluation for branch and price (bnp/solver).
+// Node evaluation for branch and price (bnp/solver).
+//
+// `solve_node` is the one place a node's LP is solved: activate the node's
+// root path, re-solve under the cutoff or the height cap, and fall back to
+// one uncapped re-solve when the cap leaves no verdict. The solver's node
+// loop runs it through one of two executors: in place on the shared
+// master (one node per round, one thread), or here, on clones.
 //
 // Batch-synchronous search: the solver pops the top-B open nodes, hands
 // them here as tasks, and merges the results back in node-id order. Each
@@ -29,18 +35,22 @@
 
 namespace stripack::bnp {
 
-/// One node's evaluation order: activate these (master row, rhs) pairs on
-/// a clone of the frozen master, then resolve under `cutoff`.
+/// One node's evaluation order: activate these (master row, rhs) pairs,
+/// then resolve under the cutoff (or the height cap).
 struct NodeTask {
   std::vector<std::pair<int, double>> path;
 };
 
 struct NodeEvaluation {
   release::FractionalSolution solution;
-  /// Configuration columns the clone priced beyond the snapshot, for
-  /// adoption into the master (deduplicated there).
+  /// True when the capped re-solve ended without a verdict and the node
+  /// was re-solved uncapped (which may legitimately leave the warm path).
+  bool uncapped_fallback = false;
+  /// Configuration columns a clone priced beyond the snapshot, for
+  /// adoption into the master (deduplicated there). Empty in place.
   std::vector<release::AdoptableColumn> new_columns;
-  /// The clone's own pricing counters.
+  /// A clone's own pricing counters (zero in place: the master's are
+  /// counted once, at the end of the search).
   release::PricingStats pricing;
   /// 1 when the evaluation failed (threw, or exhausted the LP recovery
   /// ladder) and was retried once from a fresh clone of the frozen
@@ -48,6 +58,23 @@ struct NodeEvaluation {
   /// NumericalFailure — is what the fields above hold.
   int retries = 0;
 };
+
+/// The worker count `threads` asks for: 0 means hardware concurrency;
+/// never less than 1.
+[[nodiscard]] int resolve_threads(int threads);
+
+/// Solves one node on `solver`: sets every `path` row to its rhs, then
+/// re-solves under `cutoff` — or, with `height_cap` set, through
+/// `resolve_with_height_cap(*height_cap)` (the solver's
+/// cutoff-as-constraint mode, where a node that cannot beat the incumbent
+/// comes back certified infeasible with a Farkas certificate instead of
+/// cutoff-pruned). A capped re-solve without a verdict is re-solved once
+/// uncapped on the Lagrangian path. Rows off the path must already be
+/// parked; only `solution` and `uncapped_fallback` are filled in.
+[[nodiscard]] NodeEvaluation solve_node(
+    release::ConfigLpSolver& solver,
+    std::span<const std::pair<int, double>> path, double cutoff,
+    std::optional<double> height_cap);
 
 class BnpWorkerPool {
  public:
@@ -59,14 +86,10 @@ class BnpWorkerPool {
 
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// Evaluates every task against the frozen `master`; result i depends
-  /// only on (master, tasks[i], cutoff, height_cap). `master` is only
-  /// read (clone() is const and lock-free), so tasks run concurrently.
-  /// With `height_cap` set, each clone resolves through
-  /// `resolve_with_height_cap(*height_cap)` — the solver's
-  /// cutoff-as-constraint mode, where a node that cannot beat the
-  /// incumbent comes back certified infeasible with a Farkas
-  /// certificate instead of cutoff-pruned. The cap row lives and dies
+  /// Evaluates every task with `solve_node` on its own clone of the
+  /// frozen `master`; result i depends only on (master, tasks[i], cutoff,
+  /// height_cap). `master` is only read (clone() is const and
+  /// lock-free), so tasks run concurrently. The cap row lives and dies
   /// with the clone; the frozen master is never touched.
   [[nodiscard]] std::vector<NodeEvaluation> evaluate(
       const release::ConfigLpSolver& master, std::span<const NodeTask> tasks,

@@ -22,9 +22,7 @@ class EngineBackend final : public LpBackend {
   explicit EngineBackend(SimplexEngine& engine) : engine_(&engine) {}
 
   [[nodiscard]] const char* name() const override { return "simplex"; }
-  void set_stop(const std::atomic<bool>* stop) override {
-    engine_->set_stop(stop);
-  }
+  void set_stop(StopToken stop) override { engine_->set_stop(stop); }
   void sync_columns() override { engine_->sync_columns(); }
   void sync_rows() override { engine_->sync_rows(); }
   bool load_basis(const std::vector<int>& basis) override {

@@ -71,11 +71,11 @@ class LpBackend {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Re-points the cooperative cancellation token checked at pivot
-  /// boundaries (`SimplexOptions::stop`); nullptr clears it. Default is a
-  /// no-op so existing custom backends keep compiling, but long-lived
-  /// callers (the warm-pooled service masters) rely on it — both builtin
-  /// backends implement it.
-  virtual void set_stop(const std::atomic<bool>* /*stop*/) {}
+  /// boundaries (`SimplexOptions::stop`); a default token clears it.
+  /// Default is a no-op so existing custom backends keep compiling, but
+  /// long-lived callers (the warm-pooled service masters) rely on it —
+  /// both builtin backends implement it.
+  virtual void set_stop(StopToken /*stop*/) {}
 
   /// Picks up columns appended to the model since the last sync.
   virtual void sync_columns() = 0;

@@ -94,8 +94,7 @@ std::int64_t DenseTableauBackend::default_max_iters() const {
 }
 
 bool DenseTableauBackend::stop_requested() const {
-  return fault_stop_ || (options_.stop != nullptr &&
-                         options_.stop->load(std::memory_order_relaxed));
+  return fault_stop_ || options_.stop.requested();
 }
 
 void DenseTableauBackend::perturb_inverse(double magnitude) {

@@ -38,9 +38,7 @@ class DenseTableauBackend final : public LpBackend {
                                const SimplexOptions& options = {});
 
   [[nodiscard]] const char* name() const override { return "dense"; }
-  void set_stop(const std::atomic<bool>* stop) override {
-    options_.stop = stop;
-  }
+  void set_stop(StopToken stop) override { options_.stop = stop; }
   void sync_columns() override;
   void sync_rows() override;
   bool load_basis(const std::vector<int>& basis) override;

@@ -72,7 +72,7 @@ class SimplexEngine::Impl {
     cold_start();
   }
 
-  void set_stop(const std::atomic<bool>* stop) { options_.stop = stop; }
+  void set_stop(StopToken stop) { options_.stop = stop; }
 
   // ----- column codes -----------------------------------------------------
   // code >= 0:           structural column `code` of the model
@@ -587,12 +587,10 @@ class SimplexEngine::Impl {
                : 5000 + 20LL * (2LL * m_ + num_structural_);
   }
 
-  // Cooperative cancellation (portfolio racing): relaxed is enough — a
-  // stale read just costs one extra pivot. A TripStop fault latches the
-  // same behavior without a caller-owned flag.
+  // Cooperative cancellation (portfolio racing, anytime deadlines). A
+  // TripStop fault latches the same behavior without a caller-owned flag.
   [[nodiscard]] bool stop_requested() const {
-    return fault_stop_ || (options_.stop != nullptr &&
-                           options_.stop->load(std::memory_order_relaxed));
+    return fault_stop_ || options_.stop.requested();
   }
 
   // ----- fault-injection hooks (no-ops when options_.fault is null) -------
@@ -1501,9 +1499,7 @@ SimplexEngine::~SimplexEngine() = default;
 SimplexEngine::SimplexEngine(SimplexEngine&&) noexcept = default;
 SimplexEngine& SimplexEngine::operator=(SimplexEngine&&) noexcept = default;
 
-void SimplexEngine::set_stop(const std::atomic<bool>* stop) {
-  impl_->set_stop(stop);
-}
+void SimplexEngine::set_stop(StopToken stop) { impl_->set_stop(stop); }
 
 void SimplexEngine::sync_columns() { impl_->sync_columns(); }
 

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -87,6 +88,34 @@ enum class PricingRule { Dantzig, Bland, SteepestEdge, Devex };
 [[nodiscard]] constexpr bool is_slack_code(int code) { return code < 0; }
 [[nodiscard]] constexpr int slack_code_row(int code) { return -1 - code; }
 
+/// Cooperative cancellation token: an optional caller-owned flag plus an
+/// optional steady-clock deadline, both polled at pivot boundaries. A
+/// plain value: copies (node clones on worker threads) read the same flag
+/// and the same deadline, so no thread has to watch the clock. A default
+/// token never stops.
+struct StopToken {
+  using Clock = std::chrono::steady_clock;
+
+  const std::atomic<bool>* flag = nullptr;
+  Clock::time_point deadline = Clock::time_point::max();
+
+  StopToken() = default;
+  // Implicit on purpose: flag-pointer call sites keep compiling.
+  StopToken(const std::atomic<bool>* stop_flag) : flag(stop_flag) {}
+
+  /// The deadline has passed (never true without one).
+  [[nodiscard]] bool expired() const {
+    return deadline != Clock::time_point::max() && Clock::now() >= deadline;
+  }
+
+  /// The flag is set or the deadline has passed. Relaxed is enough: a
+  /// stale read just costs one extra pivot.
+  [[nodiscard]] bool requested() const {
+    return (flag != nullptr && flag->load(std::memory_order_relaxed)) ||
+           expired();
+  }
+};
+
 struct SimplexOptions {
   std::int64_t max_iterations = 0;  // 0 = automatic (scales with m + n)
   double tol = 1e-9;                // reduced-cost / feasibility tolerance
@@ -103,19 +132,21 @@ struct SimplexOptions {
   /// steepest-edge full scan): 0 = hardware concurrency, > 1 = that many
   /// threads, 1 or negative = serial. Deterministic for any value — work
   /// is split into fixed chunks and merged in chunk order, reproducing
-  /// the serial scan's tie-breaks. Threads spawn per scan (no pool yet),
-  /// so this is for *wide* models: scans under ~8k columns run serial no
-  /// matter the setting.
+  /// the serial scan's tie-breaks. Scans run on the shared ThreadPool
+  /// (`parallel_for`), whose wake-up still costs a few microseconds, so
+  /// this is for *wide* models: scans under 4096 columns
+  /// (`kParallelScanMin` in simplex.cpp) run serial whatever the setting.
   int pricing_threads = 1;
   /// Warm-start basis (see slack_code); empty = cold two-phase start. A
   /// singular or primal-infeasible basis silently falls back to cold.
   std::vector<int> initial_basis;
-  /// Cooperative cancellation: when non-null and the flag becomes true the
-  /// solve loops stop at the next pivot boundary and return
-  /// `IterationLimit` (the partial solution carries no certificate). The
-  /// portfolio racer uses this to cancel backends that lost the race; the
-  /// pointee must outlive every solve that references it.
-  const std::atomic<bool>* stop = nullptr;
+  /// Cooperative cancellation: once the token's flag flips or its
+  /// deadline passes, the solve loops stop at the next pivot boundary and
+  /// return `IterationLimit` (the partial solution carries no
+  /// certificate). The portfolio racer flips the flag to cancel backends
+  /// that lost the race; branch and price sets the deadline from its time
+  /// budget. The flag must outlive every solve that references it.
+  StopToken stop{};
   /// Fault-injection hook (tests only): when non-null, engines poll it at
   /// pivot / refactorization / pricing-round boundaries and simulate the
   /// returned action — see util/fault_injection.hpp. One null check per
@@ -177,10 +208,10 @@ class SimplexEngine {
   SimplexEngine& operator=(SimplexEngine&&) noexcept;
 
   /// Re-points the cooperative cancellation token (`SimplexOptions::stop`)
-  /// checked at pivot boundaries; nullptr clears it. Long-lived engines
-  /// (the warm-pooled service masters) swap tokens per request — the
-  /// construction-time option only covers single-solve lifetimes.
-  void set_stop(const std::atomic<bool>* stop);
+  /// checked at pivot boundaries; a default token clears it. Long-lived
+  /// engines (the warm-pooled service masters) swap tokens per request —
+  /// the construction-time option only covers single-solve lifetimes.
+  void set_stop(StopToken stop);
 
   /// Picks up columns appended to the model since construction or the last
   /// sync; they seed the pricing candidate list for the next solve.

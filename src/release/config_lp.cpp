@@ -1317,7 +1317,7 @@ int ConfigLpSolver::find_branch_row(const BranchPredicate& pred,
   return -1;
 }
 
-void ConfigLpSolver::set_stop(const std::atomic<bool>* stop) {
+void ConfigLpSolver::set_stop(lp::StopToken stop) {
   State& s = *state_;
   s.options.stop = stop;
   s.simplex_options.stop = stop;

@@ -196,10 +196,11 @@ struct ConfigLpOptions {
   /// reduce to Auto.
   lp::PortfolioMode portfolio = lp::PortfolioMode::Single;
   /// Cooperative cancellation, forwarded to every underlying LP solve
-  /// (`SimplexOptions::stop`): when the flag flips, solves stop at the
-  /// next pivot boundary and report `IterationLimit` — the anytime
-  /// deadline path of `bnp::solve`. The pointee must outlive the solver.
-  const std::atomic<bool>* stop = nullptr;
+  /// (`SimplexOptions::stop`): once the token's flag flips or its
+  /// deadline passes, solves stop at the next pivot boundary and report
+  /// `IterationLimit` — the anytime deadline path of `bnp::solve`. The
+  /// flag must outlive the solver.
+  lp::StopToken stop{};
   /// Fault-injection hook, forwarded to every underlying LP solve
   /// (`SimplexOptions::fault`; tests only). Must outlive the solver.
   FaultInjector* fault = nullptr;
@@ -378,8 +379,8 @@ class ConfigLpSolver {
 
   /// Re-points the cooperative stop token for all subsequent (re-)solves
   /// (construction passes `ConfigLpOptions::stop` once; a pooled master
-  /// outlives any single request's watchdog). nullptr clears it.
-  void set_stop(const std::atomic<bool>* stop);
+  /// outlives any single request's deadline). A default token clears it.
+  void set_stop(lp::StopToken stop);
 
   /// Re-reads every demand-row rhs from the referenced problem and parks
   /// all branch rows (and the height-cap row, if materialized) at their

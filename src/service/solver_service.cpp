@@ -177,7 +177,6 @@ void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
     try {
       bnp::BnpResult result;
       if (options_.warm_pool) {
-        opts.reuse_engine = true;
         if (cls.problem == nullptr) {
           cls.problem = std::make_unique<release::ConfigLpProblem>(
               release::make_problem(p.request.instance));

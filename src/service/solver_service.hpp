@@ -59,8 +59,8 @@ struct ServiceOptions {
   /// `BM_ServiceThroughput`, and a bisection lever should a warm-pool
   /// answer ever look suspect.
   bool warm_pool = true;
-  /// Base solver configuration per request. `reuse_engine` is forced on
-  /// for the warm pool; budgets below override `bnp.budget.max_nodes`.
+  /// Base solver configuration per request; the budgets below override
+  /// `bnp.budget.max_nodes`.
   bnp::BnpOptions bnp{};
   /// Node budget for normally admitted requests.
   std::size_t node_budget = 10'000;

@@ -4,10 +4,11 @@
 // dense reference simplex, tomorrow whatever gets plugged in — must pass
 // the same suite: cold certified optimality, warm re-solves with
 // `phase1_iterations == 0` (rows, rhs-only, columns, basis handoff), valid
-// Farkas certificates on infeasibility, and the `objective_cutoff`
-// early-exit of `solve_dual`.
+// Farkas certificates on infeasibility, the `objective_cutoff` early-exit
+// of `solve_dual`, and stop-token deadlines.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -277,6 +278,40 @@ TEST_P(BackendConformance, ObjectiveCutoffStopsDualResolveEarly) {
     EXPECT_EQ(pruned.phase1_iterations, 0);
   }
   // The early exit itself must fire for the sweep to mean anything.
+  EXPECT_GT(exercised, 0);
+}
+
+TEST_P(BackendConformance, ExpiredDeadlineStopsColdAndWarmSolves) {
+  // A token whose deadline has already passed stops at the first pivot
+  // boundary — no helper thread involved — with IterationLimit and no
+  // certificate, on a cold solve and on a warm dual re-solve alike.
+  StopToken expired;
+  expired.deadline = StopToken::Clock::now() - std::chrono::seconds(1);
+  int exercised = 0;
+  for (int seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    Model model = random_covering_model(rng, 4, 10);
+    if (!reference(model).optimal()) continue;
+    SimplexOptions options;
+    options.stop = expired;
+    const Solution cold = make(model, options)->solve();
+    EXPECT_EQ(cold.status, SolveStatus::IterationLimit) << "seed " << seed;
+    EXPECT_TRUE(cold.farkas.empty()) << "seed " << seed;
+
+    const auto backend = make(model);
+    ASSERT_EQ(backend->solve().status, SolveStatus::Optimal);
+    for (int r = 0; r < model.num_rows(); ++r) {
+      if (model.row_sense(r) == Sense::GE) {
+        model.set_row_rhs(r, 2.0 * model.row_rhs(r) + 0.5);
+      }
+    }
+    backend->sync_rows();
+    backend->set_stop(expired);
+    const Solution warm = backend->solve_dual();
+    EXPECT_EQ(warm.status, SolveStatus::IterationLimit) << "seed " << seed;
+    EXPECT_TRUE(warm.farkas.empty()) << "seed " << seed;
+    ++exercised;
+  }
   EXPECT_GT(exercised, 0);
 }
 

@@ -111,17 +111,23 @@ TEST(BnpKillSweep, RandomPivotKillsAreHonestAndReproducible) {
   }
 }
 
-// A caller whose own stop token is already tripped when solve() starts:
-// the watchdog must propagate it, and the result is still a full
-// contract-keeping bracket (the trivial incumbent at the very least).
+// A caller whose own stop flag is already tripped when solve() starts:
+// the flag rides in the same stop token as the deadline, so it must stop
+// the search with no deadline set (0) and under one that never bites
+// (3600 s), and the result is still a full contract-keeping bracket (the
+// trivial incumbent at the very least).
 TEST(BnpKillSweep, PreTrippedCallerStopExitsCleanly) {
   for (const Workload& w : workloads()) {
-    std::atomic<bool> cancelled{true};
-    BnpOptions options;
-    options.budget.max_seconds = 3600.0;  // the watchdog, not the deadline
-    options.lp.stop = &cancelled;
-    const BnpResult result = solve(w.family.instance, options);
-    expect_contract(w, result, w.tag + " pre-tripped stop");
+    for (const double max_seconds : {0.0, 3600.0}) {
+      std::atomic<bool> cancelled{true};
+      BnpOptions options;
+      options.budget.max_seconds = max_seconds;
+      options.lp.stop = &cancelled;
+      const BnpResult result = solve(w.family.instance, options);
+      expect_contract(w, result,
+                      w.tag + " pre-tripped stop, max_seconds " +
+                          std::to_string(max_seconds));
+    }
   }
 }
 

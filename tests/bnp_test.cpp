@@ -122,18 +122,21 @@ TEST(Bnp, BranchingIsExercisedWithoutTheRoundingIncumbent) {
   // With only the trivial stack incumbent the root bound cannot prune, so
   // proving the k+1 optimum requires real branching on the fractional
   // pair total — and every node re-solve must stay on the warm path.
-  const auto family = gen::hard_integral_family(2);
-  BnpOptions options;
-  options.rounding_incumbent = false;
-  const BnpResult result = solve(family.instance, options);
-  EXPECT_EQ(result.status, BnpStatus::Optimal);
-  EXPECT_NEAR(result.height, family.certificate.ip_height, kTol);
-  // The first child already proves the incumbent optimal, so its sibling
-  // is cut off by bound — at least one branching row must have
-  // materialized, and more than the root was processed.
-  EXPECT_GT(result.nodes, 1u);
-  EXPECT_GE(result.branch_rows, 1u);
-  EXPECT_EQ(result.warm_phase1_iterations, 0);
+  for (std::size_t k = 2; k <= 3; ++k) {
+    const auto family = gen::hard_integral_family(k);
+    BnpOptions options;
+    options.rounding_incumbent = false;
+    const BnpResult result = solve(family.instance, options);
+    EXPECT_EQ(result.status, BnpStatus::Optimal) << "k=" << k;
+    EXPECT_NEAR(result.height, family.certificate.ip_height, kTol)
+        << "k=" << k;
+    // At k = 2 the first child already proves the incumbent optimal, so
+    // its sibling is cut off by bound — at least one branching row must
+    // have materialized, and more than the root was processed.
+    EXPECT_GT(result.nodes, 1u) << "k=" << k;
+    EXPECT_GE(result.branch_rows, 1u) << "k=" << k;
+    EXPECT_EQ(result.warm_phase1_iterations, 0) << "k=" << k;
+  }
 }
 
 TEST(Bnp, PseudoCostStallGateKeepsCertifiedOptima) {
@@ -170,20 +173,6 @@ TEST(Bnp, PseudoCostStallGateKeepsCertifiedOptima) {
       EXPECT_EQ(result.dual_bound, base.dual_bound) << "gate=" << gate;
     }
   }
-}
-
-TEST(Bnp, ColdNodeSolvesMatchTheWarmPath) {
-  const auto family = gen::hard_integral_family(3);
-  BnpOptions warm;
-  warm.rounding_incumbent = false;
-  BnpOptions cold = warm;
-  cold.reuse_engine = false;
-  const BnpResult a = solve(family.instance, warm);
-  const BnpResult b = solve(family.instance, cold);
-  ASSERT_EQ(a.status, BnpStatus::Optimal);
-  ASSERT_EQ(b.status, BnpStatus::Optimal);
-  EXPECT_NEAR(a.height, b.height, kTol);
-  EXPECT_NEAR(a.height, family.certificate.ip_height, kTol);
 }
 
 TEST(Bnp, DenseMasterBackendProvesTheSameOptima) {
