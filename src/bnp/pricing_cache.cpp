@@ -77,7 +77,7 @@ PricingCache::Seed PricingCache::probe(
   // Resolve applied model rows to cache indices once per probe.
   applied_scratch_.clear();
   for (const auto& [row, mult] : applied) {
-    if (mult == 0.0) continue;
+    STRIPACK_ASSERT(mult != 0.0, "probe against a zero-multiplier row");
     const int k = row_index(row);
     STRIPACK_ASSERT(k >= 0, "probe against an unregistered branch row");
     applied_scratch_.push_back({static_cast<std::size_t>(k), mult});

@@ -16,10 +16,11 @@
 //
 // Branch-row bonuses are applied as deltas on cached entries: each
 // registered branching row stores its predicate once, and each pattern
-// lazily memoizes one match bit per row — keyed, together, by the active
-// branch-row set a node presents at probe time — so re-probing a pattern
-// under a different node's active rows costs bit lookups, not predicate
-// re-evaluation.
+// lazily memoizes one match bit per row — keyed, together, by the live
+// branch-row set a node presents at probe time (the rows whose multiplier
+// is nonzero; parked and non-binding rows never reach the cache) — so
+// re-probing a pattern under a different node's live rows costs bit
+// lookups, not predicate re-evaluation.
 //
 // The cache is deliberately self-contained (patterns + predicates + match
 // bits); `release::ConfigLpSolver` owns one per solver instance and
@@ -58,15 +59,18 @@ class PricingCache {
   /// Best stored pattern under per-width values plus the applied rows'
   /// bonuses: max over patterns of sum_i counts[i]*value[i] + sum of
   /// mult over applied (row, mult) whose predicate matches. Applied rows
-  /// must have been registered and must already be filtered to the phase
-  /// being priced (predicate content, not phase, decides the match).
+  /// must have been registered, must carry nonzero multipliers only, and
+  /// must already be filtered to the phase being priced (predicate
+  /// content, not phase, decides the match).
   [[nodiscard]] Seed probe(
       std::span<const double> value,
       std::span<const std::pair<int, double>> applied);
 
   /// Exact-input memo over completed pricing searches. The pricing DFS is
   /// a pure function of (per-width values, applied (row, mult) bonuses) —
-  /// the phase enters only through the pre-filtered applied rows — so a
+  /// the phase enters only through the pre-filtered applied rows, which
+  /// carry nonzero multipliers only (a zero-multiplier row cannot change
+  /// the search, so it is not part of the key) — so a
   /// bitwise-identical input must return the identical maximizer, and the
   /// whole search is skipped. This is where *unchanged* subproblems
   /// (re-priced nodes after a warm re-solve converged to the same duals,
@@ -76,9 +80,10 @@ class PricingCache {
       std::span<const double> value,
       std::span<const std::pair<int, double>> applied);
 
-  /// Records a completed search's exact result for `lookup`. `pattern`
-  /// -1 memoizes "no nonempty configuration beats zero". The memo is
-  /// cleared (deterministically) when it outgrows its size bound.
+  /// Records a completed search's exact result for `lookup`, under the
+  /// same key: per-width values plus the nonzero-multiplier applied rows.
+  /// `pattern` -1 memoizes "no nonempty configuration beats zero". The
+  /// memo is cleared (deterministically) when it outgrows its size bound.
   void memoize(std::span<const double> value,
                std::span<const std::pair<int, double>> applied,
                const Seed& result);

@@ -46,11 +46,14 @@ struct ScanBest {
 
 // One pivot of the product-form inverse: B_new^{-1} = E^{-1} B_old^{-1}
 // where E is the identity with column `row` replaced by the pivot
-// direction d. Stored sparsely as 1/d_row plus the off-pivot entries of d.
+// direction d. Stored sparsely as 1/d_row plus the off-pivot entries of d,
+// which live in one shared pool (`eta_off_[begin, end)`) rather than in a
+// heap allocation per eta.
 struct Eta {
   int row = 0;
   double inv_pivot = 0.0;
-  std::vector<RowEntry> off;  // (i, d_i) for i != row, |d_i| > drop tol
+  std::size_t begin = 0;  // (i, d_i) for i != row, |d_i| > drop tol
+  std::size_t end = 0;
 };
 
 }  // namespace
@@ -571,7 +574,7 @@ class SimplexEngine::Impl {
     }
     install_basis(basis);
     // The cold basis matrix is the identity: an empty eta file inverts it.
-    etas_.clear();
+    clear_etas();
     pivots_since_refactor_ = 0;
     xb_ = b_;
     bland_ = forced_bland();
@@ -600,9 +603,9 @@ class SimplexEngine::Impl {
   void perturb_factorization(double magnitude) {
     if (!etas_.empty()) {
       Eta& eta = etas_.back();
-      if (!eta.off.empty()) {
-        eta.off.front().coef += magnitude * (1.0 + std::fabs(
-                                                      eta.off.front().coef));
+      if (eta.begin != eta.end) {
+        RowEntry& first = eta_off_[eta.begin];
+        first.coef += magnitude * (1.0 + std::fabs(first.coef));
       } else {
         eta.inv_pivot *= 1.0 + magnitude;
       }
@@ -746,13 +749,32 @@ class SimplexEngine::Impl {
   // (re-inversion of the basis matrix) and the rest from pivots. All
   // FTRAN/BTRAN costs scale with the stored eta nonzeros, never with m^2.
 
+  void clear_etas() {
+    etas_.clear();
+    eta_off_.clear();
+  }
+
+  // Appends the eta of pivoting the FTRAN direction d_ at `row`.
+  void push_direction_eta(int row) {
+    const std::size_t begin = eta_off_.size();
+    for (int i = 0; i < m_; ++i) {
+      if (i != row && std::fabs(d_[i]) > kEtaDropTol) {
+        eta_off_.push_back({i, d_[i]});
+      }
+    }
+    etas_.push_back({row, 1.0 / d_[row], begin, eta_off_.size()});
+  }
+
   // v <- B^{-1} v (oldest eta first). Zero pivot components skip in O(1).
   void apply_etas(std::vector<double>& v) const {
+    const RowEntry* const pool = eta_off_.data();
     for (const Eta& e : etas_) {
       const double t = v[e.row] * e.inv_pivot;
       v[e.row] = t;
       if (t == 0.0) continue;
-      for (const RowEntry& o : e.off) v[o.row] -= o.coef * t;
+      for (std::size_t k = e.begin; k < e.end; ++k) {
+        v[pool[k].row] -= pool[k].coef * t;
+      }
     }
   }
 
@@ -766,9 +788,12 @@ class SimplexEngine::Impl {
   // BTRAN through the eta file only (newest to oldest): u' <- u' E^{-1}...
   // Optionally tracks which rows become nonzero.
   void btran_etas(std::vector<double>& u, std::vector<int>* touched) const {
+    const RowEntry* const pool = eta_off_.data();
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
       double acc = u[it->row];
-      for (const RowEntry& o : it->off) acc -= u[o.row] * o.coef;
+      for (std::size_t k = it->begin; k < it->end; ++k) {
+        acc -= u[pool[k].row] * pool[k].coef;
+      }
       acc *= it->inv_pivot;
       if (touched != nullptr && acc != 0.0 && u[it->row] == 0.0) {
         touched->push_back(it->row);
@@ -988,7 +1013,7 @@ class SimplexEngine::Impl {
       if (fault_action == FaultAction::NearSingularPivot) return false;
     }
     pivots_since_refactor_ = 0;
-    etas_.clear();
+    clear_etas();
     etas_.reserve(static_cast<std::size_t>(m_) +
                   std::min<std::size_t>(
                       static_cast<std::size_t>(
@@ -1051,15 +1076,13 @@ class SimplexEngine::Impl {
       // Stability guard: a relatively tiny pivot is left to the kernel's
       // magnitude-based pivoting instead.
       if (std::fabs(pivot_value) < 1e-3 * max_abs) continue;
-      Eta eta;
-      eta.row = r;
-      eta.inv_pivot = 1.0 / pivot_value;
+      const std::size_t begin = eta_off_.size();
       for (const RowEntry& e : col) {
         if (e.row != r && std::fabs(e.coef) > kEtaDropTol) {
-          eta.off.push_back({e.row, e.coef});
+          eta_off_.push_back({e.row, e.coef});
         }
       }
-      etas_.push_back(std::move(eta));
+      etas_.push_back({r, 1.0 / pivot_value, begin, eta_off_.size()});
       new_basis_[r] = basis_[k];
       col_done_[k] = true;
       row_active_[r] = false;
@@ -1096,15 +1119,7 @@ class SimplexEngine::Impl {
           }
         }
         if (piv < 0 || best <= 1e-12) return false;
-        Eta eta;
-        eta.row = piv;
-        eta.inv_pivot = 1.0 / d_[piv];
-        for (int i = 0; i < m_; ++i) {
-          if (i != piv && std::fabs(d_[i]) > kEtaDropTol) {
-            eta.off.push_back({i, d_[i]});
-          }
-        }
-        etas_.push_back(std::move(eta));
+        push_direction_eta(piv);
         new_basis_[piv] = basis_[k];
         row_active_[piv] = false;
         ++pivots_done;
@@ -1377,19 +1392,10 @@ class SimplexEngine::Impl {
   }
 
   void pivot(int entering, int leave, double theta) {
-    const double dp = d_[leave];
-
     for (int i = 0; i < m_; ++i) xb_[i] -= theta * d_[i];
     xb_[leave] = theta;
 
-    Eta eta;
-    eta.row = leave;
-    eta.inv_pivot = 1.0 / dp;
-    for (int i = 0; i < m_; ++i) {
-      if (i == leave) continue;
-      if (std::fabs(d_[i]) > kEtaDropTol) eta.off.push_back({i, d_[i]});
-    }
-    etas_.push_back(std::move(eta));
+    push_direction_eta(leave);
 
     mark_basis(basis_[leave], false);
     basis_[leave] = entering;
@@ -1448,9 +1454,10 @@ class SimplexEngine::Impl {
   RowEntry logical_entry_{};         // scratch for entries_of on logicals
 
   std::vector<int> basis_;                // row -> column code
-  std::vector<bool> in_basis_struct_;     // structural column -> basic?
-  std::vector<bool> in_basis_logical_;    // [slack rows | artificial rows]
+  std::vector<char> in_basis_struct_;     // structural column -> basic?
+  std::vector<char> in_basis_logical_;    // [slack rows | artificial rows]
   std::vector<Eta> etas_;                 // the basis inverse, product form
+  std::vector<RowEntry> eta_off_;         // off-pivot entries of all etas
   std::vector<double> xb_;                // basic values
   std::vector<double> d_;                 // FTRAN direction workspace
   std::vector<double> u_;                 // BTRAN workspace

@@ -200,9 +200,9 @@ double column_cost(const RowLayout& layout, std::size_t phase) {
   return phase + 1 == layout.num_phases ? 1.0 : 0.0;
 }
 
-// One branching row applying to the phase being priced, with the value a
-// matching configuration collects from it (and its model row index, the
-// pattern cache's key for memoized match bits).
+// One live branching row applying to the phase being priced, with the
+// nonzero value a matching configuration collects from it (and its model
+// row index, the pattern cache's key for memoized match bits).
 struct AppliedBranchRow {
   const BranchPredicate* pred = nullptr;
   double mult = 0.0;
@@ -583,6 +583,13 @@ class KnapsackOracle final : public lp::PricingOracle {
     return best;
   }
 
+  // The branch rows of `phase` whose multiplier is nonzero. A zero
+  // multiplier (a parked or non-binding row) adds +0.0 to every adjusted
+  // value and is already ignored by the DFS's bonus bound and pruning
+  // exemptions, so dropping it leaves the search exact while sparing the
+  // per-expansion predicate test and shrinking the memo key. Emitted
+  // columns still get coefficients on every row (`column_entries` walks
+  // the full `branches_`).
   std::span<const AppliedBranchRow> applied_rows(
       std::size_t phase, std::span<const double> multipliers) {
     applied_.clear();
@@ -591,8 +598,9 @@ class KnapsackOracle final : public lp::PricingOracle {
           static_cast<std::size_t>(br.pred.phase) != phase) {
         continue;
       }
-      applied_.push_back(
-          {&br.pred, multipliers[static_cast<std::size_t>(br.row)], br.row});
+      const double mult = multipliers[static_cast<std::size_t>(br.row)];
+      if (mult == 0.0) continue;
+      applied_.push_back({&br.pred, mult, br.row});
     }
     return applied_;
   }

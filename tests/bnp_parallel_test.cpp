@@ -142,9 +142,12 @@ TEST(BnpParallel, BatchModeCertifiesTheSerialOptima) {
 }
 
 TEST(BnpParallel, PricingCacheKeepsCertifiedQuantities) {
-  // Memoized pricing only seeds the exact DFS; status, height and dual
-  // bound must match the uncached run on the whole sweep, while the DFS
-  // expansion count drops.
+  // Memoized pricing only seeds the exact DFS and skips repeated
+  // searches (keyed by the live, nonzero-multiplier branch rows), so
+  // every pricing round returns the same columns: status, height, dual
+  // bound and the whole search — nodes, children and LP pivots — must
+  // match the uncached run on the sweep, while the DFS expansion count
+  // drops.
   std::int64_t cached_expansions = 0;
   std::int64_t uncached_expansions = 0;
   for (const Instance& ins : sweep_instances()) {
@@ -157,6 +160,9 @@ TEST(BnpParallel, PricingCacheKeepsCertifiedQuantities) {
     EXPECT_EQ(a.status, b.status);
     EXPECT_NEAR(a.height, b.height, kTol);
     EXPECT_NEAR(a.dual_bound, b.dual_bound, kTol);
+    EXPECT_EQ(a.nodes, b.nodes);
+    EXPECT_EQ(a.nodes_created, b.nodes_created);
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations);
     cached_expansions += a.pricing_dfs_expansions;
     uncached_expansions += b.pricing_dfs_expansions;
     EXPECT_GT(a.pricing_cache_probes, 0) << "cache never probed";

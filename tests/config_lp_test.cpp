@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "core/bounds.hpp"
 #include "gen/release_gen.hpp"
@@ -436,6 +438,117 @@ TEST(ConfigLpSolver, PenalizedPatternPricingStaysExact) {
       // Relax again so the next pattern is tested in isolation.
       cg.deactivate_branch_row(cg_rows.back());
       full.deactivate_branch_row(full_rows.back());
+    }
+  }
+}
+
+TEST(ConfigLpSolver, ParkedBranchRowsLeavePricingExact) {
+  // Pricing hands the DFS, the memo key and the cache probe only the
+  // branch rows whose multiplier is nonzero. Differential sweep: park many
+  // Pattern and PairTogether rows (zero multipliers at the optimum), keep
+  // one live GE pair row and one live LE pattern row, and check colgen
+  // against enumeration, with and without the pricing cache.
+  for (const std::uint64_t seed : {3u, 8u, 15u, 22u, 33u}) {
+    Rng rng(seed);
+    const double width_pool[] = {0.45, 0.4, 0.3, 0.25, 0.2, 0.15};
+    Instance ins;
+    const std::size_t n = 6 + seed % 4;
+    for (std::size_t i = 0; i < n; ++i) {
+      ins.add_item(width_pool[rng.uniform_int(0, 5)],
+                   static_cast<double>(rng.uniform_int(1, 2)),
+                   static_cast<double>(rng.uniform_int(0, 1)));
+    }
+    const auto problem = make_problem(ins);
+    const std::size_t widths = problem.widths.size();
+    const std::size_t phases = problem.releases.size();
+    for (const bool cache : {false, true}) {
+      ConfigLpOptions colgen_options;
+      colgen_options.use_column_generation = true;
+      colgen_options.use_pricing_cache = cache;
+      ConfigLpSolver cg(problem, colgen_options);
+      const auto cg_base = cg.solve();
+      ASSERT_TRUE(cg_base.feasible);
+      ConfigLpSolver full(problem);
+      ASSERT_TRUE(full.solve().feasible);
+      const auto add_both = [&](const BranchPredicate& pred, lp::Sense sense,
+                                double rhs) {
+        return std::pair{cg.add_branch_row(pred, sense, rhs),
+                         full.add_branch_row(pred, sense, rhs)};
+      };
+
+      // Parked rows: every support pattern, and every pair in every phase.
+      std::vector<std::pair<int, int>> parked;
+      for (const Slice& s : cg_base.slices) {
+        BranchPredicate pattern;
+        pattern.kind = BranchPredicate::Kind::Pattern;
+        pattern.phase = static_cast<int>(s.phase);
+        pattern.counts = s.config.counts;
+        parked.push_back(add_both(pattern, lp::Sense::LE, 0.0));
+      }
+      for (std::size_t j = 0; j < phases; ++j) {
+        for (std::size_t a = 0; a < widths; ++a) {
+          for (std::size_t b = a; b < widths; ++b) {
+            BranchPredicate pair;
+            pair.kind = BranchPredicate::Kind::PairTogether;
+            pair.phase = static_cast<int>(j);
+            pair.width_a = a;
+            pair.width_b = b;
+            parked.push_back(add_both(pair, lp::Sense::GE, 1.0));
+          }
+        }
+      }
+      for (const auto& [cg_row, full_row] : parked) {
+        cg.deactivate_branch_row(cg_row);
+        full.deactivate_branch_row(full_row);
+      }
+
+      // Live GE row: the fitting pair the base solution covers least.
+      BranchPredicate live_pair;
+      live_pair.kind = BranchPredicate::Kind::PairTogether;
+      double least = std::numeric_limits<double>::infinity();
+      for (std::size_t a = 0; a < widths; ++a) {
+        for (std::size_t b = a + 1; b < widths; ++b) {
+          if (problem.widths[a] + problem.widths[b] > problem.strip_width) {
+            continue;
+          }
+          double covered = 0.0;
+          for (const Slice& s : cg_base.slices) {
+            if (s.config.counts[a] > 0 && s.config.counts[b] > 0) {
+              covered += s.height;
+            }
+          }
+          if (covered < least) {
+            least = covered;
+            live_pair.width_a = a;
+            live_pair.width_b = b;
+          }
+        }
+      }
+      add_both(live_pair, lp::Sense::GE, 1.0);
+
+      // Live LE row: forbid each base support pattern in turn.
+      std::pair<int, int> live_le{-1, -1};
+      for (const Slice& s : cg_base.slices) {
+        if (live_le.first >= 0) {
+          cg.deactivate_branch_row(live_le.first);
+          full.deactivate_branch_row(live_le.second);
+        }
+        BranchPredicate pattern;
+        pattern.kind = BranchPredicate::Kind::Pattern;
+        pattern.phase = static_cast<int>(s.phase);
+        pattern.counts = s.config.counts;
+        live_le = add_both(pattern, lp::Sense::LE, 0.0);
+        const auto pruned = cg.resolve();
+        const auto truth = full.resolve();
+        ASSERT_EQ(pruned.status, truth.status)
+            << "seed=" << seed << " cache=" << cache;
+        if (truth.feasible) {
+          EXPECT_NEAR(pruned.objective, truth.objective,
+                      1e-6 * (1.0 + truth.objective))
+              << "seed=" << seed << " cache=" << cache;
+          EXPECT_EQ(pruned.colgen_warm_phase1_iterations, 0);
+        }
+      }
     }
   }
 }
