@@ -1,20 +1,17 @@
-// PR 6 — LP backend seam and portfolio overhead (google-benchmark).
+// LP backend seam overhead (google-benchmark).
 //
-// Measures what the pluggable seam costs and buys: the production
-// eta-file engine vs the dense reference tableau on the same seeded
-// covering LPs across sizes (the dense backend's O(m^2) pivots win only
-// while models stay tiny — the crossover motivates `choose_backend`),
-// the warm `sync_rows` + `solve_dual` re-solve path through the
-// `lp::LpBackend` interface (the virtual seam must not tax the PR 4/5
-// hot path), and the portfolio modes end to end (race fan-out overhead
-// vs the deterministic round-robin's sequential turns).
+// Measures what the pluggable seam costs: the production eta-file engine
+// vs the dense reference tableau on the same seeded covering LPs across
+// sizes (the dense backend's O(m^2) pivots win only while models stay
+// tiny), and the warm `sync_rows` + `solve_dual` re-solve path through
+// the `lp::LpBackend` interface (the virtual seam must not tax the
+// branch-and-price node re-solve).
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "lp/backend.hpp"
 #include "lp/model.hpp"
-#include "lp/portfolio.hpp"
 #include "lp/simplex.hpp"
 #include "release/config_lp.hpp"
 #include "util/rng.hpp"
@@ -92,31 +89,6 @@ void BM_WarmResolveDense(benchmark::State& state) {
   warm_resolve(state, "dense");
 }
 BENCHMARK(BM_WarmResolveDense)->RangeMultiplier(2)->Range(4, 32);
-
-void portfolio_mode(benchmark::State& state, PortfolioMode mode) {
-  const int rows = static_cast<int>(state.range(0));
-  const Model m = covering_model(rows, 3 * rows, 13);
-  PortfolioOptions options;
-  options.mode = mode;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(portfolio_solve(m, options));
-  }
-}
-
-void BM_PortfolioAuto(benchmark::State& state) {
-  portfolio_mode(state, PortfolioMode::Auto);
-}
-BENCHMARK(BM_PortfolioAuto)->RangeMultiplier(2)->Range(4, 32);
-
-void BM_PortfolioRace(benchmark::State& state) {
-  portfolio_mode(state, PortfolioMode::Race);
-}
-BENCHMARK(BM_PortfolioRace)->RangeMultiplier(2)->Range(4, 32);
-
-void BM_PortfolioRoundRobin(benchmark::State& state) {
-  portfolio_mode(state, PortfolioMode::RoundRobin);
-}
-BENCHMARK(BM_PortfolioRoundRobin)->RangeMultiplier(2)->Range(4, 32);
 
 // The configuration LP end to end on each backend (enumeration master):
 // the seam's cost at the release/ layer rather than on a bare model.

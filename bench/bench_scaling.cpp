@@ -148,10 +148,11 @@ BENCHMARK(BM_ConfigLpColgen)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimplexPricing(benchmark::State& state) {
-  // Pricing rules on the large enumeration models: after PR 2 the
-  // per-iteration cost is cheap, so the pivot count (reported as a
-  // counter) is the lever. Steepest edge pays O(nnz) scans per pivot to
-  // cut that count vs Dantzig; Bland is the (slow) anti-cycling floor.
+  // Pricing rules on the large enumeration models, pivot count reported as
+  // a counter: Dantzig (the default) vs Bland, the slow anti-cycling
+  // floor. The two weighted steepest-edge rules were removed after losing
+  // here: at n=128 Dantzig took 9.0 ms against 21.6 and 22.4 ms, at
+  // n=512 131 ms against 352 and 368 ms (4 CPUs, Release build).
   Rng rng(45);
   gen::ReleaseWorkloadParams params;
   params.n = static_cast<std::size_t>(state.range(0));
@@ -169,9 +170,9 @@ void BM_SimplexPricing(benchmark::State& state) {
   state.counters["pivots"] = static_cast<double>(pivots);
 }
 BENCHMARK(BM_SimplexPricing)
-    // rule: 0 Dantzig, 1 Bland, 2 steepest edge, 3 Devex
+    // rule: 0 Dantzig, 1 Bland
     ->ArgNames({"n", "rule"})
-    ->ArgsProduct({{128, 512}, {0, 1, 2, 3}})
+    ->ArgsProduct({{128, 512}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 namespace dual_row_add {

@@ -68,9 +68,11 @@ int main(int argc, char** argv) {
         return false;
       };
       if (flag == "--workers") {
-        long long workers = 0;
-        if (!next_count(workers) || workers < 1) return usage();
-        options.workers = static_cast<int>(workers);
+        const std::string text = next();
+        if (!util::parse_int(text, options.workers) || options.workers < 1) {
+          std::cerr << "bad count for " << flag << ": '" << text << "'\n";
+          return usage();
+        }
       } else if (flag == "--cold") {
         options.warm_pool = false;
       } else if (flag == "--node-budget") {

@@ -85,8 +85,12 @@ int main(int argc, char** argv) {
         if (!next_count(count) || count > 65535) return usage();
         options.port = static_cast<std::uint16_t>(count);
       } else if (flag == "--workers") {
-        if (!next_count(count) || count < 1) return usage();
-        options.service.workers = static_cast<int>(count);
+        const std::string text = next();
+        if (!util::parse_int(text, options.service.workers) ||
+            options.service.workers < 1) {
+          std::cerr << "bad count for " << flag << ": '" << text << "'\n";
+          return usage();
+        }
       } else if (flag == "--cold") {
         options.service.warm_pool = false;
       } else if (flag == "--node-budget") {

@@ -4,8 +4,7 @@
 //                                       nfdh|ffdh|bfdh|sleator|skyline|bnp]
 //                      [--eps E] [--K k] [--svg out.svg] [--out placement.txt]
 //                      [--threads N] [--node-batch B] [--time-limit SEC]
-//                      [--backend NAME] [--portfolio MODE] [--no-conflicts]
-//                      [--verbose]
+//                      [--backend NAME] [--no-conflicts] [--verbose]
 //
 // Reads the text format of io/instance_io.hpp, picks the algorithm (or
 // chooses one from the instance's constraints when --algo is omitted),
@@ -17,10 +16,9 @@
 // 0 = auto). `--time-limit` sets the bnp wall-clock deadline in seconds
 // (anytime: the solver still returns its best incumbent with a valid
 // [dual_bound, height] bracket). `--backend` picks the master LP's
-// registered `lp::LpBackend` and `--portfolio` its selection mode
-// (single | auto | race | round-robin); racing applies to the enumeration
-// master, colgen masters reduce to the auto shape heuristic (see
-// lp/portfolio.hpp). `--no-conflicts` disables the bnp conflict-learning
+// registered `lp::LpBackend` (see lp/backend.hpp); a master that fails
+// numerically on it still fails over to the dense backend.
+// `--no-conflicts` disables the bnp conflict-learning
 // subsystem (bnp/conflicts — on by default). `--verbose` prints the
 // solver's node, conflict, pricing-cache, cutoff and numerical-recovery
 // diagnostics.
@@ -46,8 +44,7 @@ int usage() {
          "                      [--K k] [--svg out.svg] [--out place.txt]\n"
          "                      [--threads N] [--node-batch B]\n"
          "                      [--time-limit SEC] [--backend NAME]\n"
-         "                      [--portfolio MODE] [--no-conflicts]\n"
-         "                      [--verbose]\n"
+         "                      [--no-conflicts] [--verbose]\n"
          "algorithms: dc uniform aptas kr list nfdh ffdh bfdh sleator "
          "skyline bnp\n"
          "bnp flags: --threads N (0 = auto) and --node-batch B (0 = auto)\n"
@@ -60,8 +57,7 @@ int usage() {
     first = false;
   }
   std::cerr
-      << "); --portfolio selects\n"
-         "single | auto | race | round-robin; --no-conflicts disables\n"
+      << "); --no-conflicts disables\n"
          "nogood learning + propagation pruning; --verbose prints node /\n"
          "conflict / pricing-cache / cutoff diagnostics\n";
   return 2;
@@ -88,7 +84,6 @@ int main(int argc, char** argv) {
   int node_batch = 0;
   double time_limit = 0.0;  // 0 = unlimited
   std::string backend = lp::kDefaultLpBackend;
-  lp::PortfolioMode portfolio = lp::PortfolioMode::Single;
   bool use_conflicts = true;
   bool verbose = false;
   const std::string input = argv[1];
@@ -136,8 +131,6 @@ int main(int argc, char** argv) {
           std::cerr << "unknown LP backend: " << backend << "\n";
           return usage();
         }
-      } else if (flag == "--portfolio") {
-        if (!lp::parse_portfolio_mode(next(), portfolio)) return usage();
       } else if (flag == "--no-conflicts") {
         use_conflicts = false;
       } else if (flag == "--verbose") {
@@ -200,12 +193,9 @@ int main(int argc, char** argv) {
         options.node_batch = node_batch;
         options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
-        options.lp.portfolio = portfolio;
         options.use_conflicts = use_conflicts;
-        if (backend != lp::kDefaultLpBackend ||
-            portfolio != lp::PortfolioMode::Single) {
-          std::cout << "bnp: master LP backend " << backend << ", portfolio "
-                    << lp::to_string(portfolio) << "\n";
+        if (backend != lp::kDefaultLpBackend) {
+          std::cout << "bnp: master LP backend " << backend << "\n";
         }
         const bnp::BnpResult result = bnp::solve(instance, options);
         // Only an Optimal status is a certificate; budget-limited or
@@ -273,7 +263,6 @@ int main(int argc, char** argv) {
         options.node_batch = node_batch;
         if (time_limit > 0.0) options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
-        options.lp.portfolio = portfolio;
         options.use_conflicts = use_conflicts;
         const bnp::BnpPacker packer(options);
         std::vector<Rect> rects;
@@ -302,7 +291,10 @@ int main(int argc, char** argv) {
 
     if (!out_path.empty()) {
       std::ofstream out(out_path);
+      STRIPACK_ASSERT(out.good(), "cannot open " + out_path);
       io::write_placement(out, placement);
+      out.flush();
+      STRIPACK_ASSERT(out.good(), "cannot write " + out_path);
       std::cout << "wrote " << out_path << "\n";
     }
     if (!svg_path.empty()) {

@@ -13,21 +13,20 @@
 // Two backends ship:
 //  - "simplex": the production eta-file `SimplexEngine` (the default).
 //  - "dense": the dense-tableau reference simplex (`lp/dense_backend.hpp`),
-//    promoted from test-only code so differential checks and portfolio
-//    racing have a first-class, independently implemented peer.
+//    promoted from test-only code so differential checks and the
+//    configuration-LP failover have a first-class, independently
+//    implemented peer.
 //
 // Backends are constructed through a name-keyed factory so callers (the
-// configuration-LP solver, the CLI, the portfolio) select one per request
-// without compile-time coupling; `register_lp_backend` accepts future
+// configuration-LP solver, the CLI) select one per request without
+// compile-time coupling; `register_lp_backend` accepts future
 // backends (interior point, GPU) without touching this seam again.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -35,34 +34,11 @@
 
 namespace stripack::lp {
 
-/// Thrown by multi-backend drivers (the portfolio, failover paths) when
-/// *every* candidate backend failed — threw, or exhausted its recovery
-/// ladder with nothing conclusive to fall back on. A single backend
-/// failing is not exceptional (it is a recorded loser / a
-/// `SolveStatus::NumericalFailure` result); this type marks the point
-/// where no certified answer can be produced at all. Carries one
-/// human-readable reason per entry, in entry order ("" = that entry did
-/// not throw).
-class SolveError : public std::runtime_error {
- public:
-  SolveError(const std::string& message,
-             std::vector<std::string> entry_errors)
-      : std::runtime_error(message),
-        entry_errors_(std::move(entry_errors)) {}
-
-  [[nodiscard]] const std::vector<std::string>& entry_errors() const {
-    return entry_errors_;
-  }
-
- private:
-  std::vector<std::string> entry_errors_;
-};
-
 /// Abstract resumable LP solver over a borrowed `Model` (min c'x,
 /// Ax {<=,>=,=} b, x >= 0). Semantics of every member match the
 /// `SimplexEngine` documentation in lp/simplex.hpp; the model must outlive
-/// the backend. Implementations need not be thread-safe — the portfolio
-/// gives each racer its own instance.
+/// the backend. Implementations need not be thread-safe — concurrent
+/// callers each build their own instance.
 class LpBackend {
  public:
   virtual ~LpBackend() = default;

@@ -11,7 +11,8 @@
 // Farkas export, cost shifting, basis handoff), so the conformance kit and
 // the randomized differential sweep can cross-examine the production
 // engine against a structurally different implementation, and the
-// portfolio can race it where its simplicity wins (tiny models).
+// configuration-LP solver can fail over to it when the production engine
+// fails numerically.
 //
 // Promoted from test-only code (the differential suite's in-test oracle
 // remains, deliberately duplicated, as an engine-independent check).

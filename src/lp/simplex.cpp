@@ -31,17 +31,12 @@ constexpr int kNoColumn = std::numeric_limits<int>::min();
 // regardless of `pricing_threads`.
 constexpr std::size_t kParallelScanMin = 4096;
 constexpr std::size_t kScanChunk = 1024;
-// Devex reference-framework reset: when the entering variable's weight
-// outgrows this, the max-form approximation has drifted too far from the
-// true steepest-edge norms and the framework re-anchors at unit weights.
-constexpr double kDevexResetWeight = 1e7;
 
 // Per-chunk result of a pricing scan; merged in chunk order so parallel
 // scans reproduce the serial tie-breaks exactly.
 struct ScanBest {
   int code = kNoColumn;
   double rc = 0.0;
-  double score = 0.0;
 };
 
 // One pivot of the product-form inverse: B_new^{-1} = E^{-1} B_old^{-1}
@@ -95,11 +90,6 @@ class SimplexEngine::Impl {
   void sync_columns() {
     const int old_cols = num_structural_;
     append_model_columns();
-    se_w_struct_.resize(static_cast<std::size_t>(num_structural_), 1.0);
-    // A solve that hit its iteration limit right after a pivot leaves a
-    // captured weight update pending; it must not apply to the fresh
-    // unit weights of columns that did not exist at that pivot.
-    se_pending_ = false;
     // Freshly generated columns almost always price negative: put them at
     // the front of the candidate queue so the next solve enters them first.
     for (int c = old_cols; c < num_structural_; ++c) candidates_.push_back(c);
@@ -112,9 +102,9 @@ class SimplexEngine::Impl {
 
     // Fast path for rhs-only edits (repeated branch probes land here):
     // when no rows or columns were added and no rhs changed sign, the
-    // basis matrix is untouched, so the factorization, candidate list and
-    // steepest-edge weights all stay valid — only the transformed rhs and
-    // the basic values need refreshing.
+    // basis matrix is untouched, so the factorization and candidate list
+    // stay valid — only the transformed rhs and the basic values need
+    // refreshing.
     if (new_m == old_m && model_.num_cols() == num_structural_) {
       bool flip_changed = false;
       for (int r = 0; r < m_; ++r) {
@@ -173,7 +163,6 @@ class SimplexEngine::Impl {
     if (!refactor()) cold_start();
     candidates_.clear();
     scan_ptr_ = 0;
-    se_reset();
     duals_fresh_ = false;
   }
 
@@ -210,7 +199,6 @@ class SimplexEngine::Impl {
       }
     }
     for (double& v : xb_) v = std::max(v, 0.0);
-    se_reset();
     return true;
   }
 
@@ -492,7 +480,6 @@ class SimplexEngine::Impl {
     // pivots them in without ever touching phase 1.
     clear_shifts();
     for (double& v : xb_) v = std::max(v, 0.0);
-    if (solution.dual_iterations > 0) se_reset();
     const SolveStatus status =
         iterate(solution, max_iters + solution.iterations);
     solution.status = status;
@@ -578,10 +565,6 @@ class SimplexEngine::Impl {
     pivots_since_refactor_ = 0;
     xb_ = b_;
     bland_ = forced_bland();
-    // Unit weights: the cold basis *is* the reference framework (exact
-    // 1 + ||a_j||^2 init was tried and measured slightly worse on the
-    // enumeration models — see BM_SimplexPricing).
-    se_reset();
   }
 
   [[nodiscard]] std::int64_t default_max_iters() const {
@@ -590,7 +573,7 @@ class SimplexEngine::Impl {
                : 5000 + 20LL * (2LL * m_ + num_structural_);
   }
 
-  // Cooperative cancellation (portfolio racing, anytime deadlines). A
+  // Cooperative cancellation (caller flags, anytime deadlines). A
   // TripStop fault latches the same behavior without a caller-owned flag.
   [[nodiscard]] bool stop_requested() const {
     return fault_stop_ || options_.stop.requested();
@@ -675,21 +658,7 @@ class SimplexEngine::Impl {
   }
 
   [[nodiscard]] bool forced_bland() const {
-    return options_.bland || options_.pricing == PricingRule::Bland;
-  }
-
-  // Weighted (steepest-edge or Devex) pricing is live unless Bland's rule
-  // (configured or engaged by the degeneracy fallback) has taken over.
-  [[nodiscard]] bool se_on() const {
-    return (options_.pricing == PricingRule::SteepestEdge ||
-            options_.pricing == PricingRule::Devex) &&
-           !bland_;
-  }
-
-  // Exact Forrest–Goldfarb maintenance (needs the extra BTRAN and the
-  // beta dot products); Devex runs the same scan with the max-form update.
-  [[nodiscard]] bool se_exact() const {
-    return options_.pricing == PricingRule::SteepestEdge;
+    return options_.pricing == PricingRule::Bland;
   }
 
   // 0 = hardware concurrency, >1 = that many threads; 1 and any negative
@@ -840,152 +809,9 @@ class SimplexEngine::Impl {
   // Incremental dual update after choosing (entering, leave): with rc the
   // entering reduced cost and d the pivot direction,
   //   y_new' = y' + (rc / d_leave) * (e_leave' B_old^{-1}).
-  // Steepest edge also needs that unit BTRAN row (rho in the weight
-  // update), so it is stashed here before being consumed.
   void update_duals(int leave, double rc) {
     unit_btran(leave);
-    if (se_on()) se_rho_ = u_;
     apply_dual_update_from_u(leave, rc);
-  }
-
-  // ----- steepest-edge weights --------------------------------------------
-  // Forrest–Goldfarb reference weights gamma_j approximating
-  // 1 + ||B^{-1} a_j||^2. They are reset to 1 whenever the basis changes
-  // by anything but a priced pivot (cold start, explicit basis loads, row
-  // syncs, dual pivots, Bland fallback) — that point defines the reference
-  // framework — and from then on maintained with the exact recurrence: for
-  // the pivot (entering q at row r, direction d = B^{-1} a_q),
-  //   gamma_j' = max(gamma_j - 2 t_j beta_j + t_j^2 gamma_q, 1 + t_j^2)
-  // with t_j = alpha_j / d_r, alpha_j = (e_r' B^{-1}) . a_j, and
-  // beta_j = (B^{-T} d) . a_j; the leaving variable restarts at
-  //   max(gamma_q / d_r^2, 1 + 1/d_r^2).
-  // The update is fused into the next pricing scan (one pass computes
-  // rc_j, alpha_j and beta_j together), so a pivot costs one extra full
-  // BTRAN plus the scan it would run anyway.
-
-  [[nodiscard]] double weight_of(int code) const {
-    return is_structural(code) ? se_w_struct_[code]
-                               : se_w_slack_[logical_row(code)];
-  }
-
-  void set_weight(int code, double w) {
-    if (is_structural(code)) {
-      se_w_struct_[code] = w;
-    } else {
-      se_w_slack_[logical_row(code)] = w;
-    }
-  }
-
-  void se_reset() {
-    se_w_struct_.assign(static_cast<std::size_t>(num_structural_), 1.0);
-    se_w_slack_.assign(static_cast<std::size_t>(m_), 1.0);
-    se_pending_ = false;
-  }
-
-
-  // Captures the pivot data the fused weight update needs. Must run after
-  // update_duals (which stashes rho) and before the eta append in pivot().
-  void se_capture(int entering, int leave) {
-    if (!se_exact() && weight_of(entering) > kDevexResetWeight) {
-      // Devex framework reset: re-anchor the reference at the current
-      // basis (unit weights, no pending update). Deterministic — depends
-      // only on the pivot sequence.
-      se_reset();
-      return;
-    }
-    if (se_exact()) {
-      se_tau_ = d_;
-      btran_etas(se_tau_, nullptr);
-    }
-    se_inv_pivot_ = 1.0 / d_[leave];
-    se_gamma_entering_ = weight_of(entering);
-    se_leaving_code_ = basis_[leave];
-    // Leaving artificials never re-enter: writing their weight would
-    // clobber the row's genuine slack slot.
-    if (!is_artificial(se_leaving_code_)) {
-      const double inv2 = se_inv_pivot_ * se_inv_pivot_;
-      set_weight(se_leaving_code_,
-                 std::max(se_gamma_entering_ * inv2, 1.0 + inv2));
-    }
-    se_pending_ = true;
-  }
-
-  // One weighted-pricing scan step over positions [begin, end): applies
-  // the pending weight update (exact Forrest–Goldfarb recurrence for
-  // steepest edge, max-form recurrence for Devex) and tracks the best
-  // score rc^2 / gamma. Safe to run concurrently on disjoint ranges
-  // (weights are per-column).
-  void se_scan_range(int begin, int end, double tol, ScanBest& out) {
-    const bool exact = se_exact();
-    for (int pos = begin; pos < end; ++pos) {
-      const int code = code_at(pos);
-      if (code == kNoColumn || in_basis(code)) continue;
-      double rc = cost_of(code);
-      double alpha = 0.0;
-      double beta = 0.0;
-      if (is_structural(code)) {
-        for (const RowEntry& e : cols_[code]) {
-          rc -= y_[e.row] * e.coef;
-          if (se_pending_) {
-            alpha += se_rho_[e.row] * e.coef;
-            if (exact) beta += se_tau_[e.row] * e.coef;
-          }
-        }
-      } else {
-        const int r = logical_row(code);
-        const double s = slack_sign_[r];
-        rc -= y_[r] * s;
-        if (se_pending_) {
-          alpha = se_rho_[r] * s;
-          if (exact) beta = se_tau_[r] * s;
-        }
-      }
-      double w = weight_of(code);
-      if (se_pending_ && code != se_leaving_code_) {
-        const double t = alpha * se_inv_pivot_;
-        if (exact) {
-          w = std::max(w - 2.0 * t * beta + t * t * se_gamma_entering_,
-                       1.0 + t * t);
-        } else {
-          w = std::max(w, t * t * se_gamma_entering_);
-        }
-        set_weight(code, w);
-      }
-      if (rc < -tol) {
-        const double score = rc * rc / w;
-        if (score > out.score) out = {code, rc, score};
-      }
-    }
-  }
-
-  int se_price(double& rc_out) {
-    const double tol = options_.tol;
-    const int limit = num_structural_ + m_;
-    ScanBest best;
-    if (!parallel_pricing_enabled() ||
-        static_cast<std::size_t>(limit) < kParallelScanMin) {
-      se_scan_range(0, limit, tol, best);
-    } else {
-      const std::size_t n = static_cast<std::size_t>(limit);
-      const std::size_t nchunks = (n + kScanChunk - 1) / kScanChunk;
-      std::vector<ScanBest> chunk_best(nchunks);
-      parallel_for(
-          nchunks,
-          [&](std::size_t ci) {
-            const std::size_t begin = ci * kScanChunk;
-            const std::size_t end = std::min(n, begin + kScanChunk);
-            se_scan_range(static_cast<int>(begin), static_cast<int>(end),
-                          tol, chunk_best[ci]);
-          },
-          static_cast<unsigned>(std::max(options_.pricing_threads, 0)));
-      // Strict > in chunk order reproduces the serial first-best choice.
-      for (const ScanBest& b : chunk_best) {
-        if (b.code != kNoColumn && b.score > best.score) best = b;
-      }
-    }
-    se_pending_ = false;
-    rc_out = best.rc;
-    return best.code;
   }
 
   // Refactorization: re-inverts the basis matrix into a fresh eta file.
@@ -1183,7 +1009,6 @@ class SimplexEngine::Impl {
       }
       return kNoColumn;
     }
-    if (se_on()) return se_price(rc_out);
 
     int best = kNoColumn;
     double best_rc = -tol;
@@ -1354,12 +1179,7 @@ class SimplexEngine::Impl {
       }
 
       if (theta <= options_.tol) {
-        if (++degenerate_streak > 5 * m_ + 200 && !bland_) {
-          // The Bland fallback ends steepest-edge maintenance; drop the
-          // (now unmaintained) weights so a later solve restarts clean.
-          if (se_on()) se_reset();
-          bland_ = true;
-        }
+        if (++degenerate_streak > 5 * m_ + 200) bland_ = true;
       } else {
         degenerate_streak = 0;
       }
@@ -1378,10 +1198,8 @@ class SimplexEngine::Impl {
       }
 
       // Duals first (the update needs the pre-pivot eta file), then the
-      // steepest-edge capture (needs the pre-pivot etas and direction),
-      // then the pivot.
+      // pivot.
       update_duals(leave, rc);
-      if (se_on()) se_capture(entering, leave);
       pivot(entering, leave, theta);
       ++solution.iterations;
 
@@ -1464,16 +1282,6 @@ class SimplexEngine::Impl {
   std::vector<double> y_;                 // current-phase duals
   std::vector<int> touched_;              // BTRAN nonzero tracking
   std::vector<int> candidates_;           // partial-pricing candidate codes
-  // Steepest-edge reference weights plus the pending fused-update capture
-  // (see the weight-update comment block).
-  std::vector<double> se_w_struct_;
-  std::vector<double> se_w_slack_;
-  std::vector<double> se_rho_;  // e_r' B_old^{-1} at the captured pivot
-  std::vector<double> se_tau_;  // B_old^{-T} d at the captured pivot
-  double se_inv_pivot_ = 0.0;
-  double se_gamma_entering_ = 1.0;
-  int se_leaving_code_ = kNoColumn;
-  bool se_pending_ = false;
   // Refactorization workspaces (sized on use, reused across calls).
   std::vector<int> row_count_;
   std::vector<std::size_t> row_start_;

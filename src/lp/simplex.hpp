@@ -7,9 +7,8 @@
 // anywhere, so factor costs scale with basis nonzeros, not m^2. Duals are
 // updated incrementally in O(m) per iteration. Pricing is selectable
 // (`SimplexOptions::pricing`): partial Dantzig (cyclic block scans feeding
-// a candidate list), Bland, or steepest edge (Forrest–Goldfarb reference
-// weights maintained incrementally per pivot), with an automatic switch to
-// Bland's rule after long degenerate streaks (anti-cycling). Returns a
+// a candidate list) or Bland, with an automatic switch to Bland's rule
+// after long degenerate streaks (anti-cycling). Returns a
 // *basic* optimal solution — which is precisely what Lemma 3.3 needs: a
 // basic solution of the configuration LP has at most (W+1)(R+1) nonzero
 // variables.
@@ -63,22 +62,7 @@ enum class SolveStatus {
 ///    list (cheap per iteration; the default).
 ///  - Bland: first improving column in a fixed order (anti-cycling;
 ///    guarantees termination, usually many more pivots).
-///  - SteepestEdge: Forrest–Goldfarb reference-framework weights gamma_j
-///    approximating 1 + ||B^{-1} a_j||^2, maintained exactly per pivot
-///    from the reset points on; enters the column maximizing
-///    rc_j^2 / gamma_j over a full scan. Costs O(nnz) per iteration but
-///    typically cuts the pivot count severalfold on degenerate models —
-///    the right trade once per-iteration cost is no longer the bottleneck.
-///  - Devex: the classic cheap steepest-edge approximation. Same
-///    rc_j^2 / w_j score over the same full scan, but the reference
-///    weights grow by the max-form recurrence
-///    w_j' = max(w_j, (alpha_j / alpha_q)^2 w_q), which needs only the
-///    pivot row alpha (already produced by the incremental dual update) —
-///    no second BTRAN and no beta dot products, roughly halving the
-///    per-entry scan work of exact steepest edge. The framework resets to
-///    unit weights when the entering weight outgrows `kDevexResetWeight`
-///    (deterministically), re-anchoring the approximation.
-enum class PricingRule { Dantzig, Bland, SteepestEdge, Devex };
+enum class PricingRule { Dantzig, Bland };
 
 /// Basis encoding used for warm starts: one code per row. A code >= 0 names
 /// a basic model (structural) column; `slack_code(r)` names the basic
@@ -122,19 +106,16 @@ struct SimplexOptions {
   int refactor_interval = 64;       // eta-file length before refactorization
   int pricing_block = 0;            // columns per partial-pricing section
                                     // (0 = automatic)
-  bool bland = false;               // force Bland's rule from the start
-                                    // (overrides `pricing`; kept for
-                                    // backwards compatibility)
-  /// Entering-variable rule. Degenerate streaks still fall back to Bland
-  /// exactly as before, whatever the configured rule.
+  /// Entering-variable rule. A long degenerate streak switches Dantzig to
+  /// Bland for the rest of the solve.
   PricingRule pricing = PricingRule::Dantzig;
-  /// Threads for the pricing scans (candidate-list revalidation and the
-  /// steepest-edge full scan): 0 = hardware concurrency, > 1 = that many
-  /// threads, 1 or negative = serial. Deterministic for any value — work
+  /// Threads for Dantzig's candidate-list revalidation: 0 = hardware
+  /// concurrency, > 1 = that many threads, 1 or negative = serial.
+  /// Deterministic for any value — work
   /// is split into fixed chunks and merged in chunk order, reproducing
   /// the serial scan's tie-breaks. Scans run on the shared ThreadPool
   /// (`parallel_for`), whose wake-up still costs a few microseconds, so
-  /// this is for *wide* models: scans under 4096 columns
+  /// this is for *wide* models: candidate lists under 4096 columns
   /// (`kParallelScanMin` in simplex.cpp) run serial whatever the setting.
   int pricing_threads = 1;
   /// Warm-start basis (see slack_code); empty = cold two-phase start. A
@@ -143,9 +124,9 @@ struct SimplexOptions {
   /// Cooperative cancellation: once the token's flag flips or its
   /// deadline passes, the solve loops stop at the next pivot boundary and
   /// return `IterationLimit` (the partial solution carries no
-  /// certificate). The portfolio racer flips the flag to cancel backends
-  /// that lost the race; branch and price sets the deadline from its time
-  /// budget. The flag must outlive every solve that references it.
+  /// certificate). Callers flip the flag to cancel a solve from another
+  /// thread; branch and price sets the deadline from its time budget. The
+  /// flag must outlive every solve that references it.
   StopToken stop{};
   /// Fault-injection hook (tests only): when non-null, engines poll it at
   /// pivot / refactorization / pricing-round boundaries and simulate the

@@ -10,7 +10,6 @@
 #include "bnp/pricing_cache.hpp"
 #include "lp/backend.hpp"
 #include "lp/colgen.hpp"
-#include "lp/portfolio.hpp"
 #include "lp/simplex.hpp"
 #include "util/assert.hpp"
 #include "util/float_eq.hpp"
@@ -736,9 +735,9 @@ struct ConfigLpSolver::State {
   double inactive_le_rhs = 0.0;
   lp::SimplexOptions simplex_options;
   /// Registry name of the backend actually solving the master: the
-  /// configured `options.backend`, or whatever the portfolio / Auto
-  /// heuristic picked in `solve()`. Clones inherit it so a node's
-  /// re-solves stay on the same implementation as its parent's basis.
+  /// configured `options.backend`, or "dense" after a rung-3 failover.
+  /// Clones inherit it so a node's re-solves stay on the same
+  /// implementation as its parent's basis.
   std::string backend_name;
   std::unique_ptr<bnp::PricingCache> cache;  // memoized pricing (colgen)
   /// Common width grid for the pricing DP bound (0: none); computed once
@@ -1024,37 +1023,8 @@ FractionalSolution ConfigLpSolver::solve() {
     }
     s.table.configs = std::move(configs);
     s.reset_recovery();
-    lp::Solution solution;
-    if (s.options.portfolio == lp::PortfolioMode::Race ||
-        s.options.portfolio == lp::PortfolioMode::RoundRobin) {
-      // The portfolio owns the cold solve; the State backend is then
-      // re-created on the winner's implementation, warm from the winning
-      // basis, so every later dual re-solve continues seamlessly. A
-      // portfolio where *every* entry failed (lp::SolveError) fails over
-      // to a single cold solve on the dense reference backend.
-      try {
-        lp::PortfolioOptions popts;
-        popts.mode = s.options.portfolio;
-        lp::PortfolioResult raced = lp::portfolio_solve(s.model, popts);
-        if (raced.winner >= 0) s.backend_name = raced.winner_backend;
-        solution = std::move(raced.solution);
-        s.note(solution);
-        lp::SimplexOptions warm = s.simplex_options;
-        warm.initial_basis = solution.basis;
-        s.engine = lp::make_lp_backend(s.backend_name, s.model, warm);
-      } catch (const lp::SolveError&) {
-        solution = lp::Solution{};
-        solution.status = lp::SolveStatus::NumericalFailure;
-        if (s.failover_engine()) solution = s.guarded_cold_solve();
-      }
-    } else {
-      if (s.options.portfolio == lp::PortfolioMode::Auto) {
-        s.backend_name = lp::choose_backend(s.model);
-      }
-      s.engine =
-          lp::make_lp_backend(s.backend_name, s.model, s.simplex_options);
-      solution = s.guarded_cold_solve();
-    }
+    s.engine = lp::make_lp_backend(s.backend_name, s.model, s.simplex_options);
+    const lp::Solution solution = s.guarded_cold_solve();
     s.solved = true;
     return s.finish(solution, solution.iterations, 0, 0);
   }
@@ -1082,12 +1052,6 @@ FractionalSolution ConfigLpSolver::solve() {
   s.oracle = std::make_unique<KnapsackOracle>(problem, s.layout, s.table,
                                               s.branch_rows, s.cache.get(),
                                               s.grid_denom);
-  // Column generation re-solves one resumable master incrementally, so a
-  // cold-start portfolio has nothing to race: Auto/Race/RoundRobin all
-  // reduce to the shape heuristic here.
-  if (s.options.portfolio != lp::PortfolioMode::Single) {
-    s.backend_name = lp::choose_backend(s.model);
-  }
   s.engine = lp::make_lp_backend(s.backend_name, s.model, s.simplex_options);
   s.reset_recovery();
   // Cold column-generation run with the backend-failover barrier: a master

@@ -44,7 +44,6 @@
 
 #include "core/instance.hpp"
 #include "lp/backend.hpp"
-#include "lp/portfolio.hpp"
 #include "lp/simplex.hpp"
 #include "release/configurations.hpp"
 
@@ -165,10 +164,8 @@ struct ConfigLpOptions {
   bool use_column_generation = false;
   std::size_t max_configurations = 2'000'000;
   double tol = 1e-9;
-  /// Entering-variable rule for the underlying simplex. Dantzig is the
-  /// cheap default; SteepestEdge trades O(nnz) scans per pivot for far
-  /// fewer pivots on large enumeration models (Devex approximates it at
-  /// about half the scan cost).
+  /// Entering-variable rule for the underlying simplex: Dantzig (the
+  /// default) or Bland.
   lp::PricingRule pricing = lp::PricingRule::Dantzig;
   /// Pricing-scan threads (forwarded to `SimplexOptions::pricing_threads`;
   /// 1 = serial, 0 = hardware concurrency; deterministic either way).
@@ -185,16 +182,9 @@ struct ConfigLpOptions {
   /// "simplex" (the production eta-file engine, default), "dense" (the
   /// reference tableau simplex), or any name registered at runtime.
   /// `solve_config_lp` throws std::invalid_argument on unknown names.
+  /// A master that throws or fails numerically on this backend fails over
+  /// to "dense" (rung 3 of the recovery ladder).
   std::string backend = lp::kDefaultLpBackend;
-  /// Portfolio mode for the *initial* master solve (lp/portfolio.hpp):
-  /// Single = just `backend`. Auto picks a backend by model shape; Race
-  /// runs the default portfolio concurrently and adopts the first
-  /// certified finisher's basis; RoundRobin does the bit-reproducible
-  /// fixed-budget variant. Race/RoundRobin apply in enumeration mode
-  /// only (column generation re-solves the master incrementally, where a
-  /// cold portfolio start has nothing to race) — there they silently
-  /// reduce to Auto.
-  lp::PortfolioMode portfolio = lp::PortfolioMode::Single;
   /// Cooperative cancellation, forwarded to every underlying LP solve
   /// (`SimplexOptions::stop`): once the token's flag flips or its
   /// deadline passes, solves stop at the next pivot boundary and report

@@ -47,7 +47,6 @@
 #include "lp/colgen.hpp"                   // IWYU pragma: export
 #include "lp/dense_backend.hpp"            // IWYU pragma: export
 #include "lp/model.hpp"                    // IWYU pragma: export
-#include "lp/portfolio.hpp"                // IWYU pragma: export
 #include "lp/simplex.hpp"                  // IWYU pragma: export
 #include "packers/exact.hpp"               // IWYU pragma: export
 #include "packers/online_shelf.hpp"        // IWYU pragma: export

@@ -12,7 +12,7 @@
 //  - NearSingularPivot: report the next pivot element as numerically
 //                       tiny, driving the refactorize-and-retry rung.
 //  - Throw:             raise `FaultInjected` out of the solver — the
-//                       portfolio / failover barriers must contain it.
+//                       failover barriers must contain it.
 //  - TripStop:          behave as if `SimplexOptions::stop` fired — the
 //                       anytime deadline path.
 //

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "core/bounds.hpp"
@@ -139,6 +140,17 @@ TEST(ConfigLp, ColgenMatchesEnumeration) {
   EXPECT_EQ(cg.colgen_warm_phase1_iterations, 0);
 }
 
+TEST(ConfigLp, RejectsUnknownBackend) {
+  ConfigLpProblem problem;
+  problem.widths = {0.5};
+  problem.releases = {0.0};
+  problem.demand = {{1.0}};
+  ConfigLpOptions options;
+  options.backend = "no-such-backend";
+  EXPECT_THROW((void)solve_config_lp(problem, options),
+               std::invalid_argument);
+}
+
 TEST(ConfigLp, LowerBoundIsBelowAnyValidHeight) {
   Rng rng(21);
   gen::ReleaseWorkloadParams params;
@@ -256,8 +268,7 @@ TEST(ConfigLpSolver, PhaseCapacityTighteningIsMonotoneAndRuleInvariant) {
   double tightened_value = 0.0;
   bool have_value = false;
   for (const lp::PricingRule rule :
-       {lp::PricingRule::Dantzig, lp::PricingRule::Bland,
-        lp::PricingRule::SteepestEdge}) {
+       {lp::PricingRule::Dantzig, lp::PricingRule::Bland}) {
     ConfigLpOptions options;
     options.pricing = rule;
     ConfigLpSolver solver(problem, options);

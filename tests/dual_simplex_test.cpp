@@ -278,17 +278,10 @@ TEST_P(DualSimplexRandom, RandomCutRowsMatchColdSolves) {
 
 INSTANTIATE_TEST_SUITE_P(AllPricingRules, DualSimplexRandom,
                          ::testing::Values(PricingRule::Dantzig,
-                                           PricingRule::Bland,
-                                           PricingRule::SteepestEdge),
+                                           PricingRule::Bland),
                          [](const ::testing::TestParamInfo<PricingRule>& i) {
-                           switch (i.param) {
-                             case PricingRule::Dantzig:
-                               return "Dantzig";
-                             case PricingRule::Bland:
-                               return "Bland";
-                             default:
-                               return "SteepestEdge";
-                           }
+                           return i.param == PricingRule::Dantzig ? "Dantzig"
+                                                                  : "Bland";
                          });
 
 // ----------------------------------------------- branch-and-price shape

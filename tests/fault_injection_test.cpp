@@ -125,7 +125,7 @@ TEST(FaultInjection, BackendsSurviveSeededPlans) {
       try {
         faulted = lp::make_lp_backend(backend, model, options)->solve();
       } catch (const FaultInjected&) {
-        threw = true;  // contained by portfolio/failover layers in prod
+        threw = true;  // contained by the failover layer in prod
       }
       total_fired += injector.fired();
       if (threw) continue;

@@ -306,7 +306,7 @@ TEST(Simplex, ForcedBlandRuleStillFindsTheOptimum) {
   m.add_column(-0.02, x3);
   m.add_column(6.0, x4);
   SimplexOptions options;
-  options.bland = true;
+  options.pricing = PricingRule::Bland;
   const Solution s = solve(m, options);
   certify_optimal(m, s);
   EXPECT_NEAR(s.objective, -0.05, 1e-9);

@@ -157,8 +157,8 @@ TEST(Umbrella, Lp) {
   ASSERT_TRUE(solution.optimal());
   EXPECT_DOUBLE_EQ(solution.objective, 2.0);
 
-  // PR 6 seam: the backend registry, the dense reference backend, and the
-  // portfolio are all reachable through the umbrella.
+  // The backend registry and the dense reference backend are reachable
+  // through the umbrella.
   EXPECT_TRUE(lp::has_lp_backend(lp::kDefaultLpBackend));
   EXPECT_TRUE(lp::has_lp_backend("dense"));
   const lp::Solution dense =
@@ -167,11 +167,6 @@ TEST(Umbrella, Lp) {
   EXPECT_DOUBLE_EQ(dense.objective, 2.0);
   lp::DenseTableauBackend direct(model, {});
   EXPECT_STREQ(direct.name(), "dense");
-  lp::PortfolioOptions race;
-  race.mode = lp::PortfolioMode::Race;
-  const lp::PortfolioResult raced = lp::portfolio_solve(model, race);
-  ASSERT_GE(raced.winner, 0);
-  EXPECT_DOUBLE_EQ(raced.solution.objective, 2.0);
 }
 
 // kr: Kenyon–Rémila APTAS for plain strip packing.
