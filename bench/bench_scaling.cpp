@@ -364,9 +364,10 @@ Instance scale_instance(std::size_t n) {
 
 // One configuration of the PR 5 solver; the serial-vs-parallel pairs
 // share a batch size so their searches are bit-identical and the timing
-// delta is pure evaluation overlap. `pr4_baseline` reverts every PR 5
-// lever (cache, pseudo costs, strong branching, Lagrangian cutoff) to
-// measure the total algorithmic win on the same instances.
+// delta is pure evaluation overlap. `pr4_baseline` reverts the PR 5
+// levers that still exist (cache, pseudo costs, strong branching) to
+// measure the algorithmic win on the same instances; it now runs with
+// the height-cap row as its incumbent cutoff, like every search.
 void run_scale(benchmark::State& state, int threads, int node_batch,
                bool cache, bool pr4_baseline = false) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -379,7 +380,6 @@ void run_scale(benchmark::State& state, int threads, int node_batch,
   if (pr4_baseline) {
     options.pseudo_cost_branching = false;
     options.strong_branching_probes = 0;
-    options.lagrangian_pruning = false;
   }
   options.budget.max_nodes = n >= 120 ? 150 : 10'000;
   bnp::BnpResult last;
@@ -389,8 +389,6 @@ void run_scale(benchmark::State& state, int threads, int node_batch,
   }
   state.counters["nodes"] = static_cast<double>(last.nodes);
   state.counters["batches"] = static_cast<double>(last.batches);
-  state.counters["cutoff_pruned"] =
-      static_cast<double>(last.cutoff_pruned_nodes);
   state.counters["dfs_expansions"] =
       static_cast<double>(last.pricing_dfs_expansions);
   state.counters["memo_hits"] =
@@ -403,7 +401,7 @@ void run_scale(benchmark::State& state, int threads, int node_batch,
 
 void BM_BnpScaleSerial(benchmark::State& state) {
   // The classic one-shared-master serial path with the full PR 5 kit
-  // (pricing cache + DP bound, pseudo costs, Lagrangian cutoff).
+  // (pricing cache + DP bound, pseudo costs, strong branching).
   bnp_scale::run_scale(state, 1, 1, true);
 }
 BENCHMARK(BM_BnpScaleSerial)
@@ -427,9 +425,9 @@ BENCHMARK(BM_BnpScaleSerialNoCache)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BnpScaleSerialPr4Baseline(benchmark::State& state) {
-  // Every PR 5 lever off (no cache, fractionality branching, no strong
-  // branching, no cutoff): the previous solver's behavior on the new
-  // workloads — the end-to-end algorithmic comparison arm.
+  // Every remaining PR 5 lever off (no cache, fractionality branching, no
+  // strong branching), still under the height-cap row: the end-to-end
+  // algorithmic comparison arm.
   bnp_scale::run_scale(state, 1, 1, false, /*pr4_baseline=*/true);
 }
 BENCHMARK(BM_BnpScaleSerialPr4Baseline)
@@ -471,21 +469,15 @@ BENCHMARK(BM_BnpScaleBatchT4)
     ->Arg(120)
     ->Unit(benchmark::kMillisecond);
 
-namespace bnp_conflicts {
+namespace bnp_family {
 
-// PR 9 conflict-learning arms over the gen/hard_integral release-wave
-// families (two waves, spacing k + 1, node budget well above the tree).
-// The jittered variant (seed > 0) draws per-item widths from (1/3, 1/2]
-// so the same 1/2 integrality gap takes a genuinely deep proof tree; on
-// those instances the committed conflicts-on node reduction comes from
-// the parked height-cap row steering degenerate vertex selection — the
-// learned / prune counters stay 0 there, see docs/ARCHITECTURE.md. The
-// uniform variant (seed == 0) closes at the root, but its capped
-// strong-branching probes hit the cap and come back as Farkas
-// certificates, so nogoods_learned > 0 pins the explanation path end to
-// end. Both arms certify the family's ip_height either way; the Off arm
-// is the committed baseline for the node / wall-clock comparison.
-void run_family(benchmark::State& state, bool conflicts) {
+// Branch and price over the gen/hard_integral release-wave families (two
+// waves, spacing k + 1, node budget well above the tree). The jittered
+// variant (seed > 0) draws per-item widths from (1/3, 1/2] so the same
+// 1/2 integrality gap takes a genuinely deep proof tree; the uniform
+// variant (seed == 0) closes at the root. Every run certifies the
+// family's ip_height.
+void run_family(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const auto seed = static_cast<std::uint64_t>(state.range(1));
   const double spacing = static_cast<double>(k) + 1.0;
@@ -493,7 +485,6 @@ void run_family(benchmark::State& state, bool conflicts) {
       seed == 0 ? gen::hard_integral_family(k, 2, spacing)
                 : gen::hard_integral_jittered(k, 2, spacing, seed);
   bnp::BnpOptions options;
-  options.use_conflicts = conflicts;
   options.budget.max_nodes = 30'000;
   bnp::BnpResult last;
   for (auto _ : state) {
@@ -501,34 +492,16 @@ void run_family(benchmark::State& state, bool conflicts) {
     benchmark::DoNotOptimize(last);
   }
   state.counters["nodes"] = static_cast<double>(last.nodes);
-  state.counters["nogoods_learned"] =
-      static_cast<double>(last.nogoods_learned);
-  state.counters["nogood_prunes"] =
-      static_cast<double>(last.nogood_prunes);
-  state.counters["propagation_prunes"] =
-      static_cast<double>(last.propagation_prunes);
-  state.counters["cutoff_pruned"] =
-      static_cast<double>(last.cutoff_pruned_nodes);
   state.counters["height"] = last.height;
   state.counters["dual_bound"] = last.dual_bound;
 }
 
-}  // namespace bnp_conflicts
+}  // namespace bnp_family
 
-void BM_BnpConflictsOn(benchmark::State& state) {
-  bnp_conflicts::run_family(state, true);
+void BM_BnpGapFamily(benchmark::State& state) {
+  bnp_family::run_family(state);
 }
-BENCHMARK(BM_BnpConflictsOn)
-    ->ArgNames({"k", "seed"})
-    ->Args({3, 0})
-    ->Args({4, 4})
-    ->Args({4, 5})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BnpConflictsOff(benchmark::State& state) {
-  bnp_conflicts::run_family(state, false);
-}
-BENCHMARK(BM_BnpConflictsOff)
+BENCHMARK(BM_BnpGapFamily)
     ->ArgNames({"k", "seed"})
     ->Args({3, 0})
     ->Args({4, 4})

@@ -4,7 +4,7 @@
 //                                       nfdh|ffdh|bfdh|sleator|skyline|bnp]
 //                      [--eps E] [--K k] [--svg out.svg] [--out placement.txt]
 //                      [--threads N] [--node-batch B] [--time-limit SEC]
-//                      [--backend NAME] [--no-conflicts] [--verbose]
+//                      [--backend NAME] [--verbose]
 //
 // Reads the text format of io/instance_io.hpp, picks the algorithm (or
 // chooses one from the instance's constraints when --algo is omitted),
@@ -15,13 +15,11 @@
 // batch-synchronous parallel node evaluation (bnp only; default serial,
 // 0 = auto). `--time-limit` sets the bnp wall-clock deadline in seconds
 // (anytime: the solver still returns its best incumbent with a valid
-// [dual_bound, height] bracket). `--backend` picks the master LP's
-// registered `lp::LpBackend` (see lp/backend.hpp); a master that fails
-// numerically on it still fails over to the dense backend.
-// `--no-conflicts` disables the bnp conflict-learning
-// subsystem (bnp/conflicts — on by default). `--verbose` prints the
-// solver's node, conflict, pricing-cache, cutoff and numerical-recovery
-// diagnostics.
+// [dual_bound, height] bracket; negative values are a usage error).
+// `--backend` picks the master LP's registered `lp::LpBackend` (see
+// lp/backend.hpp); a master that fails numerically on it still fails over
+// to the dense backend. `--verbose` prints the solver's node,
+// pricing-cache and numerical-recovery diagnostics.
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -44,22 +42,20 @@ int usage() {
          "                      [--K k] [--svg out.svg] [--out place.txt]\n"
          "                      [--threads N] [--node-batch B]\n"
          "                      [--time-limit SEC] [--backend NAME]\n"
-         "                      [--no-conflicts] [--verbose]\n"
+         "                      [--verbose]\n"
          "algorithms: dc uniform aptas kr list nfdh ffdh bfdh sleator "
          "skyline bnp\n"
          "bnp flags: --threads N (0 = auto) and --node-batch B (0 = auto)\n"
          "pick the batch-synchronous parallel node evaluation;\n"
-         "--time-limit SEC sets the anytime wall-clock deadline; --backend\n"
-         "selects the master LP backend (";
+         "--time-limit SEC (>= 0) sets the anytime wall-clock deadline;\n"
+         "--backend selects the master LP backend (";
   bool first = true;
   for (const std::string& name : lp::lp_backend_names()) {
     std::cerr << (first ? "" : " | ") << name;
     first = false;
   }
-  std::cerr
-      << "); --no-conflicts disables\n"
-         "nogood learning + propagation pruning; --verbose prints node /\n"
-         "conflict / pricing-cache / cutoff diagnostics\n";
+  std::cerr << ");\n--verbose prints node / pricing-cache / recovery "
+               "diagnostics\n";
   return 2;
 }
 
@@ -84,7 +80,6 @@ int main(int argc, char** argv) {
   int node_batch = 0;
   double time_limit = 0.0;  // 0 = unlimited
   std::string backend = lp::kDefaultLpBackend;
-  bool use_conflicts = true;
   bool verbose = false;
   const std::string input = argv[1];
   try {
@@ -125,14 +120,16 @@ int main(int argc, char** argv) {
         if (!next_int(node_batch)) return usage();
       } else if (flag == "--time-limit") {
         if (!next_double(time_limit)) return usage();
+        if (time_limit < 0.0) {
+          std::cerr << "negative value for " << flag << "\n";
+          return usage();
+        }
       } else if (flag == "--backend") {
         backend = next();
         if (!lp::has_lp_backend(backend)) {
           std::cerr << "unknown LP backend: " << backend << "\n";
           return usage();
         }
-      } else if (flag == "--no-conflicts") {
-        use_conflicts = false;
       } else if (flag == "--verbose") {
         verbose = true;
       } else {
@@ -193,7 +190,6 @@ int main(int argc, char** argv) {
         options.node_batch = node_batch;
         options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
-        options.use_conflicts = use_conflicts;
         if (backend != lp::kDefaultLpBackend) {
           std::cout << "bnp: master LP backend " << backend << "\n";
         }
@@ -221,19 +217,9 @@ int main(int argc, char** argv) {
           std::cout << "bnp: dual bound " << result.dual_bound
                     << ", nodes created " << result.nodes_created
                     << ", batches " << result.batches
-                    << ", cutoff-pruned " << result.cutoff_pruned_nodes
                     << ", strong-branch probes "
-                    << result.strong_branch_probes << "\n";
-          if (use_conflicts) {
-            std::cout << "bnp: conflicts — nogoods learned "
-                      << result.nogoods_learned << " (store "
-                      << result.nogood_store_size << ", subsumed "
-                      << result.nogoods_subsumed << ", evicted "
-                      << result.nogoods_evicted << "), prunes "
-                      << result.nogood_prunes << " by nogood / "
-                      << result.propagation_prunes << " by propagation\n";
-          }
-          std::cout << "bnp: branch rows " << result.branch_rows
+                    << result.strong_branch_probes << "\n"
+                    << "bnp: branch rows " << result.branch_rows
                     << ", columns " << result.columns << ", LP pivots "
                     << result.lp_iterations << " (dual "
                     << result.dual_iterations << ", warm phase-1 "
@@ -263,7 +249,6 @@ int main(int argc, char** argv) {
         options.node_batch = node_batch;
         if (time_limit > 0.0) options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
-        options.use_conflicts = use_conflicts;
         const bnp::BnpPacker packer(options);
         std::vector<Rect> rects;
         for (const Item& it : instance.items()) rects.push_back(it.rect);

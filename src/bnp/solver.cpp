@@ -9,8 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#include "bnp/conflicts/nogood.hpp"
-#include "bnp/conflicts/propagate.hpp"
 #include "bnp/worker_pool.hpp"
 #include "release/integralize.hpp"
 #include "util/assert.hpp"
@@ -358,19 +356,6 @@ struct Search {
   double stalled_bound = std::numeric_limits<double>::infinity();
   double tol = 1e-6;
   std::size_t phases = 0;
-  // Conflict learning (bnp/conflicts), engaged iff options.use_conflicts.
-  // Both are touched only from serial contexts (the root, and the node
-  // loop's pop-order merge), so prunes are identical across thread
-  // counts.
-  std::optional<conflicts::NogoodStore> nogoods;
-  std::optional<conflicts::Propagator> propagator;
-  // Row -> literal identity, the inverse of ensure_row: turns a Farkas
-  // projection (`farkas_branch_rows`, model row indices) back into
-  // predicate literals.
-  std::map<int, std::pair<release::BranchPredicate, lp::Sense>> pred_by_row;
-  std::vector<conflicts::BranchLiteral> parent_lits;  // process() scratch
-  std::vector<conflicts::BranchLiteral> child_lits;
-  std::vector<conflicts::BranchLiteral> learn_lits;  // learn_from scratch
   // Pseudo-cost stall gate (options.pseudo_cost_stall_gate): consecutive
   // observations without dual-bound movement.
   double stall_gate_bound = -std::numeric_limits<double>::infinity();
@@ -389,7 +374,6 @@ struct Search {
     // neutral, and batch clones must snapshot neutral rows.
     solver.deactivate_branch_row(row);
     row_by_key.emplace(key, row);
-    if (nogoods) pred_by_row.emplace(row, std::make_pair(d.pred, d.sense));
     return row;
   }
 
@@ -412,37 +396,15 @@ struct Search {
     }
   }
 
-  [[nodiscard]] double cutoff() const {
-    if (!options.lagrangian_pruning || !tree.has_incumbent()) {
-      return std::numeric_limits<double>::infinity();
-    }
-    // Integer objectives: proving the node's LP >= incumbent - 0.4 rules
-    // out any strictly better integer solution in its subtree (the 0.1
-    // inside the half-integer quantum absorbs floating-point drift).
-    return tree.incumbent() - 0.4;
-  }
-
-  // Cutoff-as-constraint (options.conflict_cutoff_cap): node re-solves
-  // go through resolve_with_height_cap so "cannot beat the incumbent"
-  // surfaces as a *certified infeasible* master — the Farkas certificate
-  // feeds learn_from — instead of a silent Lagrangian early exit, which
-  // proves the same fact but explains nothing. The Lagrangian cutoff is
-  // parked (infinity) in this mode so the infeasibility proof completes.
-  [[nodiscard]] bool cap_mode() const {
-    return nogoods.has_value() && options.conflict_cutoff_cap &&
-           tree.has_incumbent();
-  }
-
+  // The incumbent cutoff, as the rhs of the height-cap row every node
+  // re-solves under. Objectives are integral, so any integral solution
+  // with objective > incumbent - 0.9 is already >= incumbent: an
+  // infeasible capped master certifies that the subtree holds nothing
+  // strictly better than the incumbent. The 0.1 left of the integer
+  // absorbs float drift; clamped because a zero incumbent (everything
+  // fits before rho_R) caps at zero. Always defined: the trivial
+  // incumbent is offered before the root is processed.
   [[nodiscard]] double cap_rhs() const {
-    // Tighter than cutoff()'s -0.4 and equally exact: objectives are
-    // integral, so any integral solution with objective > incumbent-0.9
-    // is already >= incumbent — an infeasible capped master certifies
-    // the subtree holds nothing strictly better than the incumbent. The
-    // extra 0.5 matters: node LPs habitually land on half-integers
-    // (incumbent - 0.5), which the -0.4 quantum leaves feasible (and
-    // unexplained) but this cap converts into Farkas certificates. The
-    // 0.1 left of the integer absorbs float drift; clamped because a
-    // zero incumbent (everything fits before rho_R) caps at zero.
     return std::max(0.0, tree.incumbent() - 0.9);
   }
 
@@ -467,78 +429,6 @@ struct Search {
     return options.pseudo_cost_branching &&
            (options.pseudo_cost_stall_gate <= 0 ||
             stall_gate_count < options.pseudo_cost_stall_gate);
-  }
-
-  // Learns a nogood from a certified-infeasible node: the literals of
-  // the active branch rows carrying a nonzero certificate multiplier.
-  // Rows active on the path but with a (near-)zero multiplier are
-  // dropped — they do not participate in the proof — as are supported
-  // rows that were *parked* at this node: the parked rhs is the loosest
-  // any node ever holds, so every node's activation only tightens it and
-  // the certificate survives (rhs monotonicity; see bnp/conflicts).
-  void learn_from(const release::FractionalSolution& sol,
-                  const std::vector<std::pair<int, double>>& path) {
-    if (!nogoods || sol.farkas_branch_rows.empty()) return;
-    learn_lits.clear();
-    for (const auto& [row, mult] : sol.farkas_branch_rows) {
-      const auto rit = pred_by_row.find(row);
-      if (rit == pred_by_row.end()) continue;  // not a search branch row
-      double rhs = 0.0;
-      bool active = false;
-      for (const auto& [prow, prhs] : path) {
-        if (prow == row) {
-          rhs = prhs;
-          active = true;
-          break;
-        }
-      }
-      if (!active) continue;  // parked: universally dominated, droppable
-      // A valid certificate has y <= 0 on LE rows and y >= 0 on GE rows
-      // (otherwise y'(Ax) >= y'b fails for feasible x) — the property
-      // the nogood's rhs-monotonicity argument rests on. A violation
-      // means the certificate is unusable; learn nothing from it.
-      const bool sign_ok = rit->second.second == lp::Sense::LE
-                               ? mult <= tol
-                               : mult >= -tol;
-      if (!sign_ok) return;
-      learn_lits.push_back(
-          conflicts::BranchLiteral{rit->second.first, rit->second.second,
-                                   rhs});
-    }
-    if (learn_lits.empty()) return;  // defensive: the root is feasible
-    if (nogoods->learn(learn_lits)) ++result.nogoods_learned;
-  }
-
-  // The node's literal set straight from the tree's decision chain (no
-  // row materialization — children consulted here may never be
-  // enqueued). canonicalize collapses re-branched predicates to the
-  // child-most (= tightest) rhs, matching the row activation semantics.
-  void node_literals(int id, std::vector<conflicts::BranchLiteral>& out) {
-    out.clear();
-    for (int n = id; tree.node(n).parent >= 0; n = tree.node(n).parent) {
-      const BranchDecision& d = tree.node(n).decision;
-      out.push_back(conflicts::BranchLiteral{d.pred, d.sense, d.rhs});
-    }
-  }
-
-  // Prune-before-enqueue: a child refuted by structural propagation or
-  // by a stored nogood never enters the open set — its subtree is
-  // proven empty, so skipping it preserves exactness and every bound.
-  void try_child(int parent, BranchDecision d, double bound) {
-    if (nogoods) {
-      child_lits = parent_lits;
-      child_lits.push_back(conflicts::BranchLiteral{d.pred, d.sense, d.rhs});
-      conflicts::NogoodStore::canonicalize(child_lits);
-      if (propagator->propagate(child_lits).infeasible) {
-        ++result.propagation_prunes;
-        return;
-      }
-      if (nogoods->matches(child_lits)) {
-        ++result.nogood_prunes;
-        return;
-      }
-    }
-    tree.add_child(parent, std::move(d), bound);
   }
 
   // Pseudo-cost observation from a solved child LP.
@@ -576,17 +466,15 @@ struct Search {
                       std::floor(branch->total), frac, sol.objective};
     BranchDecision ge{branch->pred, lp::Sense::GE,
                       std::floor(branch->total) + 1.0, frac, sol.objective};
-    if (nogoods) node_literals(id, parent_lits);
-    try_child(id, std::move(le), bound);
-    try_child(id, std::move(ge), bound);
+    tree.add_child(id, std::move(le), bound);
+    tree.add_child(id, std::move(ge), bound);
   }
 
   // Merges one evaluated node: accounting, adoption of the columns a
   // clone priced, then the verdict. False when the LP gave none —
   // IterationLimit is "unknown", not "proven empty", so the caller stops
   // with the bracket rather than mis-prune.
-  [[nodiscard]] bool merge(int id, const NodeEvaluation& eval,
-                           const std::vector<std::pair<int, double>>& path) {
+  [[nodiscard]] bool merge(int id, const NodeEvaluation& eval) {
     ++result.nodes;
     accumulate(result, eval.solution);
     accumulate(result, eval.pricing);
@@ -595,17 +483,8 @@ struct Search {
       (void)solver.adopt_column(col.config, col.phase);
     }
     const release::FractionalSolution& sol = eval.solution;
-    if (sol.cutoff_pruned) {
-      ++result.cutoff_pruned_nodes;
-      return true;  // certified: the subtree cannot beat the incumbent
-    }
-    if (sol.status == lp::SolveStatus::Infeasible) {  // certified
-      // Clones share the master's row indices, so the path and the
-      // projection line up; learning in merge order keeps the store
-      // identical across thread counts.
-      learn_from(sol, path);
-      return true;
-    }
+    // Certified: the subtree holds nothing better than the incumbent.
+    if (sol.status == lp::SolveStatus::Infeasible) return true;
     if (!sol.feasible) return false;
     // A node evaluated against a frozen incumbent may be prunable by one
     // found earlier in this very round; process() handles that through
@@ -641,7 +520,6 @@ void strong_branch_root(Search& search,
   const double gain_cap =
       std::max(1.0, search.tree.incumbent() - root.objective);
   bool touched = false;
-  std::vector<std::pair<int, double>> probe_path;
   for (const BranchCandidate& c : candidates) {
     const double floor_total = std::floor(c.total);
     const double frac = c.total - floor_total;
@@ -651,29 +529,16 @@ void strong_branch_root(Search& search,
       BranchDecision probe{c.pred, sense, rhs, frac, root.objective};
       const int row = search.ensure_row(probe);
       search.solver.set_branch_row_rhs(row, rhs);
-      // Probes run capped too: a probe cut off by the incumbent comes
-      // back certified infeasible, and its *unit* nogood prunes every
-      // future child carrying this literal without an LP.
-      const bool capped = search.cap_mode();
-      search.solver.set_node_cutoff(
-          capped ? std::numeric_limits<double>::infinity()
-                 : search.cutoff());
+      // Probes run capped like every node: a probe cut off by the
+      // incumbent comes back certified infeasible.
       const release::FractionalSolution sol =
-          capped ? search.solver.resolve_with_height_cap(search.cap_rhs())
-                 : search.solver.resolve();
+          search.solver.resolve_with_height_cap(search.cap_rhs());
       touched = true;
       accumulate(search.result, sol);
       ++search.result.strong_branch_probes;
       search.solver.deactivate_branch_row(row);
       double objective;
-      if (sol.cutoff_pruned) {
-        objective = root.objective + gain_cap;
-      } else if (sol.status == lp::SolveStatus::Infeasible) {
-        // A probe certified empty at the root is a (unit) nogood like
-        // any other — future children re-activating this literal are
-        // pruned without an LP.
-        probe_path.assign(1, {row, rhs});
-        search.learn_from(sol, probe_path);
+      if (sol.status == lp::SolveStatus::Infeasible) {
         objective = root.objective + gain_cap;
       } else if (sol.feasible) {
         objective = sol.objective;
@@ -693,7 +558,6 @@ void strong_branch_root(Search& search,
     // inside the cap quantum would otherwise make this very re-solve
     // infeasible.
     search.solver.clear_height_cap();
-    search.solver.set_node_cutoff(std::numeric_limits<double>::infinity());
     const release::FractionalSolution restored = search.solver.resolve();
     accumulate(search.result, restored);
   }
@@ -707,8 +571,8 @@ void strong_branch_root(Search& search,
 class InPlaceExecutor {
  public:
   [[nodiscard]] NodeEvaluation evaluate(release::ConfigLpSolver& master,
-                                        const NodeTask& task, double cutoff,
-                                        std::optional<double> height_cap) {
+                                        const NodeTask& task,
+                                        double height_cap) {
     rows_.clear();
     for (const auto& entry : task.path) rows_.push_back(entry.first);
     std::sort(rows_.begin(), rows_.end());
@@ -718,7 +582,7 @@ class InPlaceExecutor {
       }
     }
     std::swap(active_, rows_);
-    NodeEvaluation eval = solve_node(master, task.path, cutoff, height_cap);
+    NodeEvaluation eval = solve_node(master, task.path, height_cap);
     const release::FractionalSolution& sol = eval.solution;
     // Farkas-repaired re-solves (a capped master that dipped infeasible
     // before pricing restored it) legitimately pass through phase 1, as
@@ -782,26 +646,23 @@ void run_search(Search& search, const lp::StopToken& stop, int batch_size,
     }
     if (ids.empty()) break;
 
-    // The cutoff and, in cap mode, the cap are frozen per round with the
-    // incumbent (functions of the tree at the pop boundary), so every
-    // clone sees the same values regardless of thread count.
-    const double cutoff = search.cutoff();
-    const std::optional<double> height_cap =
-        search.cap_mode() ? std::optional<double>(search.cap_rhs())
-                          : std::nullopt;
+    // The cap is frozen per round with the incumbent (a function of the
+    // tree at the pop boundary), so every clone sees the same value
+    // regardless of thread count.
+    const double height_cap = search.cap_rhs();
     if (pool) {
-      evals = pool->evaluate(search.solver, tasks, cutoff, height_cap);
+      evals = pool->evaluate(search.solver, tasks, height_cap);
       ++result.batches;
     } else {
       evals.clear();
       evals.push_back(
-          in_place.evaluate(search.solver, tasks.front(), cutoff, height_cap));
+          in_place.evaluate(search.solver, tasks.front(), height_cap));
     }
 
     // Pop order is best-first with id-ascending ties, and each evaluation
     // depends only on its own task, so this is the canonical serial order.
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (search.merge(ids[i], evals[i], tasks[i].path)) continue;
+      if (search.merge(ids[i], evals[i])) continue;
       // The rest of the round leaves the open set here; fold every
       // unprocessed bound into the bracket so the reported dual bound
       // never overclaims.
@@ -817,7 +678,6 @@ void run_search(Search& search, const lp::StopToken& stop, int batch_size,
       // Refresh the master every round: pick up adopted columns and
       // freshly materialized (neutral) child rows, and leave a
       // root-optimal basis as the next round's clone snapshot.
-      search.solver.set_node_cutoff(std::numeric_limits<double>::infinity());
       const release::FractionalSolution refreshed = search.solver.resolve();
       accumulate(result, refreshed);
       STRIPACK_ASSERT(warm_path_ok(refreshed),
@@ -913,17 +773,10 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   Search search{local, problem, solver};
   search.tol = local.tol;
   search.phases = problem.num_releases();
-  if (local.use_conflicts) {
-    // Per-search lifetime by design: nogoods are demand-dependent (the
-    // certificate's y'b involves the demand rhs), so a warm master's
-    // next request — which rebinds demand — must start a fresh store.
-    search.nogoods.emplace(local.nogood_capacity);
-    search.propagator.emplace(problem, local.tol);
-    // Materialize the (parked) cap row before any node is evaluated:
-    // activation is then a pure rhs change on the dual warm path, and
-    // batch clones inherit the row at a fixed index from the snapshot.
-    if (local.conflict_cutoff_cap) solver.ensure_height_cap_row();
-  }
+  // Materialize the (parked) cap row before any node is evaluated:
+  // activation is then a pure rhs change on the dual warm path, and batch
+  // clones inherit the row at a fixed index from the snapshot.
+  solver.ensure_height_cap_row();
   BnpResult& result = search.result;
   accumulate(result, root);
   // The configuration LP proper is always feasible (phase R is
@@ -964,12 +817,6 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   if (!search.stalled) run_search(search, stop, batch, threads);
 
   result.nodes_created = search.tree.created();
-  if (search.nogoods) {
-    result.nogoods_subsumed = search.nogoods->rejected_subsumed() +
-                              search.nogoods->erased_subsumed();
-    result.nogoods_evicted = search.nogoods->evicted();
-    result.nogood_store_size = search.nogoods->size();
-  }
   result.branch_rows = search.row_by_key.size();
   accumulate(result, solver.pricing_stats());
   if (search.stalled) {

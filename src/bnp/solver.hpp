@@ -25,12 +25,17 @@
 // (never a cold solve; `warm_phase1_iterations` stays 0) — with
 // Ryan–Foster-style branching on fractional configuration pairs, exact
 // single-pattern branching as the completeness fallback, and dual bounds
-// rounded up to integers (the height-cap branch folded into pruning). In
-// column-generation mode an infeasible branched master goes through
-// *Farkas pricing* (columns generated against the engine's infeasibility
-// certificate), so node pruning only ever acts on verdicts certified for
-// the full master. This is the master/pricing decomposition of
-// Gilmore–Gomory cutting stock, phase-differenced for release times.
+// rounded up to integers. The incumbent enters every node re-solve as a
+// height-cap row at `incumbent - 0.9` (`resolve_with_height_cap`):
+// objectives are integral, so a node whose capped master is infeasible
+// holds nothing strictly better than the incumbent and is pruned on that
+// certificate. A capped re-solve that ends without a verdict is redone
+// once uncapped. In column-generation mode an infeasible branched master
+// goes through *Farkas pricing* (columns generated against the engine's
+// infeasibility certificate), so node pruning only ever acts on verdicts
+// certified for the full master. This is the master/pricing
+// decomposition of Gilmore–Gomory cutting stock, phase-differenced for
+// release times.
 #pragma once
 
 #include <cstdint>
@@ -103,38 +108,6 @@ struct BnpOptions {
   /// costs. 0 disables (pseudo costs then start from search observations
   /// only).
   int strong_branching_probes = 4;
-  /// Lagrangian early termination: node re-solves stop as soon as they
-  /// can *prove* the node's LP optimum cannot beat the incumbent (dual
-  /// objective monotonicity in enumeration mode, Farley's bound between
-  /// pricing rounds in column-generation mode).
-  bool lagrangian_pruning = true;
-  /// Conflict learning (bnp/conflicts): project the Farkas certificate
-  /// of every certified-infeasible node onto its active branch rows,
-  /// store the nonzero-multiplier literals as a nogood, and prune
-  /// children — by structural propagation and by nogood lookup — before
-  /// they are enqueued, without touching the LP. Exactness-preserving
-  /// (only certified-empty subtrees are cut) and deterministic across
-  /// thread counts (the store is touched only in the serial merge
-  /// order).
-  bool use_conflicts = true;
-  /// Cutoff-as-constraint (only meaningful with `use_conflicts`): node
-  /// masters are re-solved under a height-cap row at `incumbent - 0.9`
-  /// (`ConfigLpSolver::resolve_with_height_cap`) instead of the bare
-  /// Lagrangian cutoff comparison. A node that cannot beat the
-  /// incumbent then comes back *certified infeasible* with a Farkas
-  /// certificate — raw material for the explanation extractor — rather
-  /// than silently cutoff-pruned, so one pruned node generalizes into a
-  /// nogood that prunes sibling subtrees LP-free. Exact for the same
-  /// reason the Lagrangian cutoff is: objectives are integral, so any
-  /// integral objective above `incumbent - 0.9` is already >= incumbent
-  /// (the tighter quantum converts the half-integer LP landings the
-  /// -0.4 cutoff leaves feasible into certificates).
-  /// Learned nogoods stay valid as the incumbent improves because the
-  /// cap only tightens (rhs monotonicity, see bnp/conflicts/nogood.hpp).
-  bool conflict_cutoff_cap = true;
-  /// Nogood store size budget; over it, the most-literal (least
-  /// reusable) nogood is evicted deterministically.
-  std::size_t nogood_capacity = 4096;
   /// Auto-gate for pseudo-cost branching (the n=120 regression fix):
   /// fall back to most-fractional selection once the proven dual bound
   /// has sat still for this many consecutive observations — one per
@@ -179,8 +152,7 @@ struct BnpResult {
   std::size_t farkas_columns = 0;
   /// Batch-synchronous rounds executed (0 on the in-place path).
   std::size_t batches = 0;
-  /// Nodes pruned by the Lagrangian early-termination bound before their
-  /// LP was solved to optimality.
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t cutoff_pruned_nodes = 0;
   /// Root strong-branching child LPs solved to initialize pseudo costs.
   std::size_t strong_branch_probes = 0;
@@ -194,15 +166,12 @@ struct BnpResult {
   int lp_cold_restarts = 0;
   int master_failovers = 0;
   int node_retries = 0;
-  // Conflict-learning diagnostics (bnp/conflicts; all zero with
-  // `use_conflicts` off). Prunes count children cut *before* enqueue —
-  // they also never show up in `nodes_created`.
-  std::size_t nogoods_learned = 0;      // accepted into the store
-  std::size_t nogood_prunes = 0;        // children cut by store lookup
-  std::size_t propagation_prunes = 0;   // children cut by closure rules
-  std::size_t nogoods_subsumed = 0;     // rejected or absorbed learns
-  std::size_t nogoods_evicted = 0;      // capacity evictions
-  std::size_t nogood_store_size = 0;    // store size at the end
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
+  std::size_t nogoods_learned = 0;
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
+  std::size_t nogood_prunes = 0;
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
+  std::size_t propagation_prunes = 0;
   // Memoized-pricing counters, summed over the master and every clone.
   std::int64_t pricing_dfs_expansions = 0;
   std::int64_t pricing_cache_probes = 0;

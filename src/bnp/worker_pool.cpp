@@ -1,7 +1,6 @@
 #include "bnp/worker_pool.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 
 namespace stripack::bnp {
@@ -16,25 +15,17 @@ int resolve_threads(int threads) {
 
 NodeEvaluation solve_node(release::ConfigLpSolver& solver,
                           std::span<const std::pair<int, double>> path,
-                          double cutoff, std::optional<double> height_cap) {
+                          double height_cap) {
   for (const auto& [row, rhs] : path) solver.set_branch_row_rhs(row, rhs);
   NodeEvaluation out;
-  // The cap row is appended after every branch row, so the path's master
-  // row indices — and the solver's Farkas projection onto them — are
-  // unaffected by it. Capped solves park the Lagrangian cutoff (the
-  // infeasibility proof must run to completion to certify).
-  solver.set_node_cutoff(height_cap ? std::numeric_limits<double>::infinity()
-                                    : cutoff);
-  out.solution = height_cap ? solver.resolve_with_height_cap(*height_cap)
-                            : solver.resolve();
-  if (height_cap && !out.solution.feasible &&
+  out.solution = solver.resolve_with_height_cap(height_cap);
+  if (!out.solution.feasible &&
       out.solution.status != lp::SolveStatus::Infeasible) {
     // A cap binding right at the LP optimum can exhaust the iteration
-    // budget without a verdict: re-solve this one node uncapped on the
-    // Lagrangian path (a pure function of the node, so the fallback is
-    // deterministic) instead of stalling the search.
+    // budget, or the recovery ladder can run dry, without a verdict:
+    // re-solve this one node uncapped (a pure function of the node, so the
+    // fallback is deterministic) instead of stalling the search.
     solver.clear_height_cap();
-    solver.set_node_cutoff(cutoff);
     out.solution = solver.resolve();
     out.uncapped_fallback = true;
   }
@@ -54,12 +45,12 @@ BnpWorkerPool::~BnpWorkerPool() = default;
 
 std::vector<NodeEvaluation> BnpWorkerPool::evaluate(
     const release::ConfigLpSolver& master, std::span<const NodeTask> tasks,
-    double cutoff, std::optional<double> height_cap) {
+    double height_cap) {
   std::vector<NodeEvaluation> results(tasks.size());
   const auto evaluate_node = [&](std::size_t i, NodeEvaluation& out) {
     release::ConfigLpSolver clone = master.clone();
     const std::size_t snapshot_columns = clone.num_columns();
-    out = solve_node(clone, tasks[i].path, cutoff, height_cap);
+    out = solve_node(clone, tasks[i].path, height_cap);
     out.new_columns = clone.columns_since(snapshot_columns);
     out.pricing = clone.pricing_stats();
   };

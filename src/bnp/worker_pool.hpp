@@ -1,7 +1,7 @@
 // Node evaluation for branch and price (bnp/solver).
 //
 // `solve_node` is the one place a node's LP is solved: activate the node's
-// root path, re-solve under the cutoff or the height cap, and fall back to
+// root path, re-solve under the incumbent's height cap, and fall back to
 // one uncapped re-solve when the cap leaves no verdict. The solver's node
 // loop runs it through one of two executors: in place on the shared
 // master (one node per round, one thread), or here, on clones.
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -36,7 +35,7 @@
 namespace stripack::bnp {
 
 /// One node's evaluation order: activate these (master row, rhs) pairs,
-/// then resolve under the cutoff (or the height cap).
+/// then resolve under the height cap.
 struct NodeTask {
   std::vector<std::pair<int, double>> path;
 };
@@ -64,17 +63,14 @@ struct NodeEvaluation {
 [[nodiscard]] int resolve_threads(int threads);
 
 /// Solves one node on `solver`: sets every `path` row to its rhs, then
-/// re-solves under `cutoff` — or, with `height_cap` set, through
-/// `resolve_with_height_cap(*height_cap)` (the solver's
-/// cutoff-as-constraint mode, where a node that cannot beat the incumbent
-/// comes back certified infeasible with a Farkas certificate instead of
-/// cutoff-pruned). A capped re-solve without a verdict is re-solved once
-/// uncapped on the Lagrangian path. Rows off the path must already be
-/// parked; only `solution` and `uncapped_fallback` are filled in.
+/// re-solves through `resolve_with_height_cap(height_cap)`, so a node
+/// that cannot beat the incumbent comes back certified infeasible. A
+/// capped re-solve without a verdict is re-solved once uncapped with a
+/// plain `resolve()`. Rows off the path must already be parked; only
+/// `solution` and `uncapped_fallback` are filled in.
 [[nodiscard]] NodeEvaluation solve_node(
     release::ConfigLpSolver& solver,
-    std::span<const std::pair<int, double>> path, double cutoff,
-    std::optional<double> height_cap);
+    std::span<const std::pair<int, double>> path, double height_cap);
 
 class BnpWorkerPool {
  public:
@@ -87,13 +83,13 @@ class BnpWorkerPool {
   [[nodiscard]] int threads() const { return threads_; }
 
   /// Evaluates every task with `solve_node` on its own clone of the
-  /// frozen `master`; result i depends only on (master, tasks[i], cutoff,
+  /// frozen `master`; result i depends only on (master, tasks[i],
   /// height_cap). `master` is only read (clone() is const and
-  /// lock-free), so tasks run concurrently. The cap row lives and dies
+  /// lock-free), so tasks run concurrently. The cap's rhs lives and dies
   /// with the clone; the frozen master is never touched.
   [[nodiscard]] std::vector<NodeEvaluation> evaluate(
       const release::ConfigLpSolver& master, std::span<const NodeTask> tasks,
-      double cutoff, std::optional<double> height_cap = std::nullopt);
+      double height_cap);
 
  private:
   std::unique_ptr<ThreadPool> pool_;  // null when serial

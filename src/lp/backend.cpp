@@ -29,9 +29,8 @@ class EngineBackend final : public LpBackend {
     return engine_->load_basis(basis);
   }
   [[nodiscard]] Solution solve() override { return engine_->solve(); }
-  [[nodiscard]] Solution solve_dual(bool shift_dual_infeasible,
-                                    double objective_cutoff) override {
-    return engine_->solve_dual(shift_dual_infeasible, objective_cutoff);
+  [[nodiscard]] Solution solve_dual(bool shift_dual_infeasible) override {
+    return engine_->solve_dual(shift_dual_infeasible);
   }
 
  private:

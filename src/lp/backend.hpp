@@ -1,9 +1,9 @@
 // Pluggable LP-backend seam.
 //
 // `LpBackend` abstracts the resumable-LP contract that PRs 3-4 pinned down
-// at the `ConfigLpSolver` seam — cold/warm `solve`, `solve_dual` with an
-// objective cutoff and a Farkas certificate on infeasibility, `sync_rows`
-// with the rhs-only fast path, `sync_columns` for column generation, and
+// at the `ConfigLpSolver` seam — cold/warm `solve`, `solve_dual` with a
+// Farkas certificate on infeasibility, `sync_rows` with the rhs-only fast
+// path, `sync_columns` for column generation, and
 // explicit basis handoff (`load_basis` in, `Solution::basis` out, which is
 // also how branch-and-price clones a node: re-create the backend with
 // `SimplexOptions::initial_basis`). Every registered backend must honor
@@ -71,13 +71,10 @@ class LpBackend {
   [[nodiscard]] virtual Solution solve() = 0;
 
   /// Dual-simplex re-solve from the retained dual-feasible basis; see
-  /// `SimplexEngine::solve_dual` for the fallback rules, the
-  /// `shift_dual_infeasible` cost-shift narrowing, and the
-  /// `objective_cutoff` early-exit contract.
+  /// `SimplexEngine::solve_dual` for the fallback rules and the
+  /// `shift_dual_infeasible` cost-shift narrowing.
   [[nodiscard]] virtual Solution solve_dual(
-      bool shift_dual_infeasible = false,
-      double objective_cutoff =
-          std::numeric_limits<double>::infinity()) = 0;
+      bool shift_dual_infeasible = false) = 0;
 };
 
 /// Constructs a backend over `model`. The model must outlive the result.

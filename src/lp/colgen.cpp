@@ -6,8 +6,7 @@ namespace stripack::lp {
 
 ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
                                           LpBackend& backend,
-                                          double pricing_tol, int max_rounds,
-                                          const ColgenCutoff* cutoff) {
+                                          double pricing_tol, int max_rounds) {
   STRIPACK_EXPECTS(max_rounds > 0);
   ColgenResult result;
   backend.sync_columns();
@@ -28,25 +27,6 @@ ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
 
     const auto columns = oracle.price(result.solution.duals, pricing_tol);
     if (columns.empty()) return result;
-    if (cutoff != nullptr &&
-        cutoff->objective < std::numeric_limits<double>::infinity()) {
-      // Farley's Lagrangian bound (see ColgenCutoff): with r the exact
-      // minimum reduced cost over every generatable column, the full
-      // master optimum is at least (z_RMP + r * mass) / (1 - r). Once
-      // that certifies the cutoff, the remaining pricing rounds cannot
-      // change the caller's prune decision — stop here.
-      const double r = std::min(0.0, oracle.last_min_reduced_cost());
-      if (r > -std::numeric_limits<double>::infinity()) {
-        const double bound =
-            (result.solution.objective + r * cutoff->column_mass) /
-            (1.0 - r);
-        if (bound >= cutoff->objective) {
-          result.cutoff_reached = true;
-          result.cutoff_lower_bound = bound;
-          return result;
-        }
-      }
-    }
     for (const PricedColumn& col : columns) {
       model.add_column(col.cost, col.entries, col.name);
       ++result.columns_added;
@@ -57,11 +37,10 @@ ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
 
 ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
                                           SimplexEngine& engine,
-                                          double pricing_tol, int max_rounds,
-                                          const ColgenCutoff* cutoff) {
+                                          double pricing_tol, int max_rounds) {
   const auto backend = wrap_engine(engine);
   return solve_with_column_generation(model, oracle, *backend, pricing_tol,
-                                      max_rounds, cutoff);
+                                      max_rounds);
 }
 
 ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -39,31 +38,6 @@ class PricingOracle {
   /// -tol, or an empty vector when none exists (proving optimality).
   [[nodiscard]] virtual std::vector<PricedColumn> price(
       std::span<const double> duals, double tol) = 0;
-
-  /// Lower bound on the reduced cost of *every* column the oracle could
-  /// ever generate, valid for the duals of the most recent `price` call.
-  /// Exact pricing oracles know this (the minimized reduced cost itself);
-  /// the default "unknown" disables the Lagrangian cutoff below.
-  [[nodiscard]] virtual double last_min_reduced_cost() const {
-    return -std::numeric_limits<double>::infinity();
-  }
-};
-
-/// Early-termination control for branch-and-bound node re-solves. After a
-/// pricing round with minimum reduced cost r = min(0, min_rc), every
-/// feasible x of the *full* master satisfies (Farley's bound)
-///
-///   c'x >= z_RMP + r * (column_mass + c'x)
-///
-/// whenever `column_mass` bounds the total value sum of the generated
-/// columns in x *excluding* any part proportional to the objective itself
-/// (for the configuration LP: the packing capacities — phase-R mass is
-/// c'x). Rearranged, z_full >= (z_RMP + r * column_mass) / (1 - r); once
-/// that reaches `objective_cutoff` the loop stops with `cutoff_reached`
-/// and the certified `cutoff_lower_bound`, skipping the remaining rounds.
-struct ColgenCutoff {
-  double objective = std::numeric_limits<double>::infinity();
-  double column_mass = 0.0;
 };
 
 struct ColgenResult {
@@ -82,12 +56,6 @@ struct ColgenResult {
   int refactor_retries = 0;
   int residual_repairs = 0;
   int cold_restarts = 0;
-  /// Lagrangian early termination (see ColgenCutoff): the loop proved
-  /// `cutoff_lower_bound <= z_full` with `cutoff_lower_bound >=`
-  /// the cutoff and stopped. `solution` is then the *restricted* master
-  /// optimum (an upper bound on z_full), not the full optimum.
-  bool cutoff_reached = false;
-  double cutoff_lower_bound = 0.0;
 };
 
 /// Alternates master solves and pricing until the oracle finds nothing.
@@ -108,8 +76,7 @@ struct ColgenResult {
 /// `SimplexOptions::tol`.
 [[nodiscard]] ColgenResult solve_with_column_generation(
     Model& model, PricingOracle& oracle, SimplexEngine& engine,
-    double pricing_tol = 1e-9, int max_rounds = 500,
-    const ColgenCutoff* cutoff = nullptr);
+    double pricing_tol = 1e-9, int max_rounds = 500);
 
 /// Backend-generic variant of the caller-owned-engine loop: identical
 /// semantics against any `lp::LpBackend` (the configuration-LP solver
@@ -118,7 +85,6 @@ struct ColgenResult {
 /// wrapper.
 [[nodiscard]] ColgenResult solve_with_column_generation(
     Model& model, PricingOracle& oracle, LpBackend& backend,
-    double pricing_tol = 1e-9, int max_rounds = 500,
-    const ColgenCutoff* cutoff = nullptr);
+    double pricing_tol = 1e-9, int max_rounds = 500);
 
 }  // namespace stripack::lp

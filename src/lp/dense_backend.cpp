@@ -501,8 +501,7 @@ Solution DenseTableauBackend::solve() {
   return cold_solve(std::move(solution));
 }
 
-Solution DenseTableauBackend::solve_dual(bool shift_dual_infeasible,
-                                         double objective_cutoff) {
+Solution DenseTableauBackend::solve_dual(bool shift_dual_infeasible) {
   Solution solution;
   numerical_retries_ = 0;
   poll_round_fault();
@@ -539,7 +538,6 @@ Solution DenseTableauBackend::solve_dual(bool shift_dual_infeasible,
   // reduced costs to zero by shifting their costs (dropped at the end).
   std::vector<double> cost_shift;
   compute_duals(false, cost_shift, y);
-  bool any_shift = false;
   for (int c = 0; c < n; ++c) {
     if (basic_structural[c]) continue;
     const double rc = model_->column_cost(c) - dot_column(y, c);
@@ -547,7 +545,6 @@ Solution DenseTableauBackend::solve_dual(bool shift_dual_infeasible,
       if (!shift_dual_infeasible) return solve();
       if (cost_shift.empty()) cost_shift.assign(n, 0.0);
       cost_shift[c] = -rc;
-      any_shift = true;
     }
   }
   for (int r = 0; r < m_; ++r) {
@@ -572,16 +569,6 @@ Solution DenseTableauBackend::solve_dual(bool shift_dual_infeasible,
     }
     compute_basic_values(xb);
     compute_duals(false, cost_shift, y);
-    if (!any_shift && objective_cutoff < kInf) {
-      double z = 0.0;
-      for (int r = 0; r < m_; ++r) z += y[r] * model_->row_rhs(r);
-      if (z >= objective_cutoff) {
-        solution.status = SolveStatus::ObjectiveCutoff;
-        solution.objective = z;
-        solution.duals = y;
-        return solution;
-      }
-    }
     // Leaving: the largest primal violation — a negative basic, or a
     // pinned artificial pushed above zero (blocked from above).
     int p = -1;

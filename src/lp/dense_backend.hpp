@@ -7,8 +7,8 @@
 // values and duals are recomputed from B^{-1} every iteration. That makes
 // it O(m^2 + n * nnz) per pivot and hopeless on big models, but nearly
 // impossible to get subtly wrong, which is the point: it implements the
-// full `LpBackend` contract (warm restarts, dual re-solve with cutoff and
-// Farkas export, cost shifting, basis handoff), so the conformance kit and
+// full `LpBackend` contract (warm restarts, dual re-solve with Farkas
+// export, cost shifting, basis handoff), so the conformance kit and
 // the randomized differential sweep can cross-examine the production
 // engine against a structurally different implementation, and the
 // configuration-LP solver can fail over to it when the production engine
@@ -45,9 +45,7 @@ class DenseTableauBackend final : public LpBackend {
   bool load_basis(const std::vector<int>& basis) override;
   [[nodiscard]] Solution solve() override;
   [[nodiscard]] Solution solve_dual(
-      bool shift_dual_infeasible = false,
-      double objective_cutoff =
-          std::numeric_limits<double>::infinity()) override;
+      bool shift_dual_infeasible = false) override;
 
  private:
   // Within-solve variable codes: >= 0 structural column; [-m, -1] the row

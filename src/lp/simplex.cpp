@@ -293,10 +293,9 @@ class SimplexEngine::Impl {
   // keeping every reduced cost nonnegative, so phase 1 never runs. Falls
   // back to the primal `solve()` when the retained state is outside dual
   // reach (see the header contract).
-  Solution solve_dual(bool shift_dual_infeasible, double objective_cutoff) {
+  Solution solve_dual(bool shift_dual_infeasible) {
     poll_round_fault();
-    Solution first = solve_dual_attempt(shift_dual_infeasible,
-                                        objective_cutoff);
+    Solution first = solve_dual_attempt(shift_dual_infeasible);
     if (first.status != SolveStatus::NumericalFailure) return first;
     // Rung 2 for the dual path: the warm basis (or its factorization) is
     // numerically wedged, so the cheap re-solve is off the table — fall
@@ -310,8 +309,7 @@ class SimplexEngine::Impl {
     return retry;
   }
 
-  Solution solve_dual_attempt(bool shift_dual_infeasible,
-                              double objective_cutoff) {
+  Solution solve_dual_attempt(bool shift_dual_infeasible) {
     Solution solution;
     clear_shifts();
     numerical_retries_ = 0;
@@ -370,21 +368,6 @@ class SimplexEngine::Impl {
       if (poll_pivot_fault()) {
         solution.status = SolveStatus::IterationLimit;
         return solution;
-      }
-      // Early termination by objective cutoff: the dual objective y'b is
-      // nondecreasing over dual pivots and — the basis being dual
-      // feasible throughout — a weak-duality lower bound on the LP
-      // optimum. Cost shifts change the effective objective, so the
-      // check stands down while any are live.
-      if (objective_cutoff < std::numeric_limits<double>::infinity() &&
-          !shifts_live()) {
-        double dual_obj = 0.0;
-        for (int r = 0; r < m_; ++r) dual_obj += y_[r] * b_[r];
-        if (dual_obj >= objective_cutoff) {
-          solution.status = SolveStatus::ObjectiveCutoff;
-          solution.objective = dual_obj;
-          return solution;
-        }
       }
       // Leaving row: most negative basic value (first such row on ties —
       // deterministic).
@@ -692,10 +675,6 @@ class SimplexEngine::Impl {
   [[nodiscard]] std::size_t logical_index(int code) const {
     const auto row = static_cast<std::size_t>(logical_row(code));
     return is_slack(code) ? row : static_cast<std::size_t>(m_) + row;
-  }
-
-  [[nodiscard]] bool shifts_live() const {
-    return !cost_shift_.empty() || !logical_shift_.empty();
   }
 
   void clear_shifts() {
@@ -1326,9 +1305,8 @@ bool SimplexEngine::load_basis(const std::vector<int>& basis) {
 
 Solution SimplexEngine::solve() { return impl_->solve(); }
 
-Solution SimplexEngine::solve_dual(bool shift_dual_infeasible,
-                                   double objective_cutoff) {
-  return impl_->solve_dual(shift_dual_infeasible, objective_cutoff);
+Solution SimplexEngine::solve_dual(bool shift_dual_infeasible) {
+  return impl_->solve_dual(shift_dual_infeasible);
 }
 
 Solution solve(const Model& model, const SimplexOptions& options) {

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "lp/model.hpp"
@@ -44,11 +43,6 @@ enum class SolveStatus {
   Infeasible,
   Unbounded,
   IterationLimit,
-  /// `solve_dual` stopped early because its monotone dual objective — a
-  /// valid lower bound on the LP optimum whenever the basis is dual
-  /// feasible — reached the caller's `objective_cutoff`. The solution is
-  /// not optimal; `Solution::objective` holds the certified bound.
-  ObjectiveCutoff,
   /// The recovery ladder ran dry: a near-singular pivot or a failed basic
   /// residual check survived the bounded refactorize-and-retry rung and
   /// one cold restart. The solution carries no certificate (like
@@ -237,19 +231,7 @@ class SimplexEngine {
   /// whole re-solve stays free of phase 1. The Farkas certificate is
   /// cost-independent, so an `Infeasible` verdict under shifts is just as
   /// valid.
-  ///
-  /// `objective_cutoff` (branch-and-bound early termination): the dual
-  /// simplex's objective y'b is nondecreasing and, while the basis is
-  /// dual feasible, a lower bound on the LP optimum by weak duality. If
-  /// it reaches the cutoff the re-solve stops with
-  /// `SolveStatus::ObjectiveCutoff` and `Solution::objective` set to the
-  /// certified bound — the caller can prune without finishing the solve.
-  /// Ignored (infinity) by default, and inactive while cost shifts are
-  /// live or on the primal fallback paths (no bound is available there).
-  [[nodiscard]] Solution solve_dual(
-      bool shift_dual_infeasible = false,
-      double objective_cutoff =
-          std::numeric_limits<double>::infinity());
+  [[nodiscard]] Solution solve_dual(bool shift_dual_infeasible = false);
 
  private:
   class Impl;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -453,7 +452,6 @@ class KnapsackOracle final : public lp::PricingOracle {
     const std::size_t phases = layout_.num_phases;
     const std::size_t widths = layout_.num_widths;
     std::vector<double> value(widths, 0.0);
-    min_reduced_cost_ = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < phases; ++j) {
       for (std::size_t i = 0; i < widths; ++i) {
         value[i] = duals[static_cast<std::size_t>(layout_.demand_row(j, i))];
@@ -466,11 +464,6 @@ class KnapsackOracle final : public lp::PricingOracle {
       }
       double best_value = 0.0;
       Configuration best = best_phase_config(value, duals, j, &best_value);
-      // Exact per-phase maximum value, so base_cost - best_value is the
-      // exact per-phase minimum reduced cost — an empty `best` certifies
-      // that no nonempty configuration scores above 0 (Farley's bound
-      // stays valid with best_value = 0 there).
-      min_reduced_cost_ = std::min(min_reduced_cost_, base_cost - best_value);
       if (best.total_items == 0) continue;
       const double reduced_cost = base_cost - best_value;
       if (reduced_cost < -std::max(tol, 1e-8)) {
@@ -478,10 +471,6 @@ class KnapsackOracle final : public lp::PricingOracle {
       }
     }
     return out;
-  }
-
-  [[nodiscard]] double last_min_reduced_cost() const override {
-    return min_reduced_cost_;
   }
 
   /// Farkas pricing: `ray` is an infeasibility certificate y of the
@@ -626,7 +615,6 @@ class KnapsackOracle final : public lp::PricingOracle {
   std::vector<AppliedBranchRow> applied_;   // scratch
   std::vector<std::pair<int, double>> probe_rows_;  // scratch
   std::int64_t dfs_expansions_ = 0;
-  double min_reduced_cost_ = -std::numeric_limits<double>::infinity();
 };
 
 FractionalSolution extract(const ConfigLpProblem& problem,
@@ -706,7 +694,6 @@ struct ConfigLpSolver::State {
         simplex_options(other.simplex_options),
         backend_name(other.backend_name),
         grid_denom(other.grid_denom),
-        node_cutoff(other.node_cutoff),
         last_basis(other.last_basis),
         solved(other.solved) {
     STRIPACK_EXPECTS(other.solved);
@@ -745,8 +732,6 @@ struct ConfigLpSolver::State {
   int grid_denom = 0;
   std::unique_ptr<KnapsackOracle> oracle;  // column-generation mode only
   std::unique_ptr<lp::LpBackend> engine;   // see backend_name
-  /// Lagrangian prune threshold for re-solves (infinity = off).
-  double node_cutoff = std::numeric_limits<double>::infinity();
   /// Basis of the most recent optimal (re-)solve; clone's warm start.
   std::vector<int> last_basis;
   /// Dedup index for `adopt_column`: (phase, counts) of every
@@ -867,20 +852,6 @@ struct ConfigLpSolver::State {
       out.configurations = table.configs.size();
     }
     if (solution.optimal()) last_basis = solution.basis;
-    if (solution.status == lp::SolveStatus::Infeasible &&
-        !solution.farkas.empty()) {
-      // Project the certificate onto the branch rows (every solve path —
-      // enumeration, colgen post-Farkas-pricing, clones — funnels through
-      // here). A multiplier below tolerance contributes nothing to the
-      // proof; conflict learning treats such rows as droppable.
-      for (const BranchRow& br : branch_rows) {
-        const auto r = static_cast<std::size_t>(br.row);
-        if (r < solution.farkas.size() &&
-            std::fabs(solution.farkas[r]) > options.tol) {
-          out.farkas_branch_rows.emplace_back(br.row, solution.farkas[r]);
-        }
-      }
-    }
     return out;
   }
 
@@ -917,24 +888,8 @@ struct ConfigLpSolver::State {
   [[nodiscard]] FractionalSolution resolve_attempt() {
     engine->sync_rows();
     const bool colgen = options.use_column_generation;
-    // Enumeration mode works on the full LP, so the dual simplex's
-    // monotone objective is a valid global bound and can stop at the node
-    // cutoff directly. In column-generation mode the restricted master's
-    // dual objective bounds only the restricted LP; early termination
-    // must wait for Farley's bound in the pricing loop below.
-    lp::Solution solution = engine->solve_dual(
-        colgen, colgen ? std::numeric_limits<double>::infinity()
-                       : node_cutoff);
+    lp::Solution solution = engine->solve_dual(colgen);
     note(solution);
-    if (solution.status == lp::SolveStatus::ObjectiveCutoff) {
-      FractionalSolution out =
-          finish(solution, solution.iterations, 0,
-                 solution.phase1_iterations);
-      out.dual_iterations = solution.dual_iterations;
-      out.cutoff_pruned = true;
-      out.cutoff_bound = solution.objective;
-      return out;
-    }
     std::int64_t dual_pivots = solution.dual_iterations;
     std::int64_t iterations = solution.iterations;
     std::int64_t warm_phase1 = solution.phase1_iterations;
@@ -970,16 +925,8 @@ struct ConfigLpSolver::State {
       out.farkas_columns = farkas_columns;
       return out;
     }
-    // Farley cutoff mass: sum of packing capacities (the phase-R mass is
-    // the objective itself and is folded into the bound's denominator).
-    lp::ColgenCutoff cutoff;
-    cutoff.objective = node_cutoff;
-    cutoff.column_mass = problem.releases.back() - problem.releases.front();
-    const lp::ColgenCutoff* cutoff_ptr =
-        node_cutoff < std::numeric_limits<double>::infinity() ? &cutoff
-                                                              : nullptr;
     lp::ColgenResult result = lp::solve_with_column_generation(
-        model, *oracle, *engine, simplex_options.tol, 500, cutoff_ptr);
+        model, *oracle, *engine, simplex_options.tol);
     note_colgen(result);
     FractionalSolution out =
         finish(result.solution, iterations + result.total_iterations,
@@ -987,10 +934,6 @@ struct ConfigLpSolver::State {
     out.dual_iterations = dual_pivots;
     out.farkas_rounds = farkas_rounds;
     out.farkas_columns = farkas_columns;
-    if (result.cutoff_reached) {
-      out.cutoff_pruned = true;
-      out.cutoff_bound = result.cutoff_lower_bound;
-    }
     return out;
   }
 };
@@ -1221,10 +1164,6 @@ FractionalSolution ConfigLpSolver::resolve() {
   return s.resolve();
 }
 
-void ConfigLpSolver::set_node_cutoff(double objective) {
-  state_->node_cutoff = objective;
-}
-
 ConfigLpSolver::ConfigLpSolver(std::unique_ptr<State> state)
     : state_(std::move(state)) {}
 
@@ -1326,7 +1265,6 @@ void ConfigLpSolver::rebind_demand() {
   if (s.layout.cap_row >= 0) {
     s.model.set_row_rhs(s.layout.cap_row, s.inactive_le_rhs);
   }
-  s.node_cutoff = std::numeric_limits<double>::infinity();
 }
 
 PricingStats ConfigLpSolver::pricing_stats() const {

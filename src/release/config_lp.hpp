@@ -119,25 +119,6 @@ struct FractionalSolution {
   int lp_residual_repairs = 0;
   int lp_cold_restarts = 0;
   int master_failovers = 0;
-  /// Lagrangian early termination (see `ConfigLpSolver::set_node_cutoff`):
-  /// the re-solve proved `cutoff_bound` is a lower bound on this LP's
-  /// *full* optimum with `cutoff_bound >= cutoff`, and stopped early.
-  /// Check this BEFORE acting on the other fields: in column-generation
-  /// mode the solution carried here is the restricted master's (an upper
-  /// bound, reported `feasible`); in enumeration mode the solve was
-  /// abandoned (`feasible == false`). Either way the caller should prune.
-  bool cutoff_pruned = false;
-  double cutoff_bound = 0.0;
-  /// Farkas explanation support (populated only when `status ==
-  /// Infeasible` and the engine exported a certificate): the branch rows
-  /// carrying a non-negligible multiplier in `lp::Solution::farkas`, as
-  /// (model row, multiplier) pairs in ascending row order. Branch rows
-  /// absent here — multiplier (near) zero, including every parked row —
-  /// do not participate in the infeasibility proof, so a conflict
-  /// learner may drop them, generalizing the conflict beyond the exact
-  /// activation that exposed it (see bnp/conflicts and the soundness
-  /// argument in docs/ARCHITECTURE.md).
-  std::vector<std::pair<int, double>> farkas_branch_rows;
 };
 
 /// Pricing-side counters of a `ConfigLpSolver` (cumulative since
@@ -270,8 +251,9 @@ class ConfigLpSolver {
   /// path — exactly like branch-row activation — rather than the
   /// insertion of an already-violated row (which would force a phase-1
   /// restart mid-search). Idempotent; requires a prior `solve()`.
-  /// Branch-and-price calls this once before a cutoff-as-constraint
-  /// search so every clone inherits the row at a fixed index.
+  /// Branch-and-price calls this once before its node loop, whose every
+  /// node re-solve runs capped at the incumbent, so every clone inherits
+  /// the row at a fixed index.
   void ensure_height_cap_row();
 
   /// Parks the height-cap row (no-op if it was never materialized)
@@ -311,14 +293,6 @@ class ConfigLpSolver {
   /// certificate value — at which point `Infeasible` is proven for the
   /// full master, never just the restricted one.
   [[nodiscard]] FractionalSolution resolve();
-
-  /// Lagrangian early-termination cutoff for subsequent `resolve`s: as
-  /// soon as a re-solve can *prove* the full LP optimum is >= `objective`
-  /// it stops and reports `FractionalSolution::cutoff_pruned` instead of
-  /// finishing. Enumeration mode uses the dual simplex's monotone
-  /// objective; column-generation mode uses Farley's bound after each
-  /// pricing round. Infinity (the default) disables the cutoff.
-  void set_node_cutoff(double objective);
 
   /// Deep copy for batch-parallel node evaluation: the clone shares the
   /// (const) problem, copies the model / column pool / branch rows /
@@ -374,15 +348,15 @@ class ConfigLpSolver {
 
   /// Re-reads every demand-row rhs from the referenced problem and parks
   /// all branch rows (and the height-cap row, if materialized) at their
-  /// neutral rhs, clearing the node cutoff — the cross-REQUEST warm-start
-  /// seam. Demand enters the differenced formulation only through demand
-  /// row right-hand sides, so a master whose problem kept its widths,
-  /// releases and strip width but changed `demand` in place re-solves
-  /// warm: an rhs-only change keeps the retained basis dual feasible and
-  /// the next `resolve()` runs without phase 1, reusing the entire column
-  /// pool, branch rows and pricing cache. Requires a prior `solve()`;
-  /// widths/releases/strip_width must be unchanged (the request-class
-  /// signature guarantees this — asserted here).
+  /// neutral rhs — the cross-REQUEST warm-start seam. Demand enters the
+  /// differenced formulation only through demand row right-hand sides, so
+  /// a master whose problem kept its widths, releases and strip width but
+  /// changed `demand` in place re-solves warm: an rhs-only change keeps
+  /// the retained basis dual feasible and the next `resolve()` runs
+  /// without phase 1, reusing the entire column pool, branch rows and
+  /// pricing cache. Requires a prior `solve()`; widths/releases/
+  /// strip_width must be unchanged (the request-class signature
+  /// guarantees this — asserted here).
   void rebind_demand();
 
  private:

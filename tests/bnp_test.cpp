@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bnp/node_tree.hpp"
 #include "bnp/solver.hpp"
+#include "bnp/worker_pool.hpp"
 #include "core/validate.hpp"
 #include "gen/hard_integral.hpp"
 #include "packers/registry.hpp"
 #include "release/config_lp.hpp"
 #include "test_support.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace stripack::bnp {
@@ -26,6 +30,34 @@ Instance integer_instance(
   std::vector<Item> out;
   for (const auto& [w, h, r] : items) out.push_back(Item{Rect{w, h}, r});
   return Instance(std::move(out));
+}
+
+Instance seeded_instance(std::uint64_t seed, std::size_t n, int w_lo,
+                         int w_hi, int h_max, int r_max) {
+  Rng rng(seed);
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = static_cast<double>(rng.uniform_int(w_lo, w_hi)) / 100.0;
+    const double h = static_cast<double>(rng.uniform_int(1, h_max));
+    const double r =
+        r_max > 0 ? static_cast<double>(rng.uniform_int(0, r_max)) : 0.0;
+    items.push_back(Item{Rect{w, h}, r});
+  }
+  return Instance(std::move(items), 1.0);
+}
+
+// Seeded workloads in the two-to-three-per-column width regime plus
+// hard_integral gap families, released variants included: every search
+// genuinely branches.
+std::vector<Instance> exactness_sweep() {
+  std::vector<Instance> out;
+  out.push_back(seeded_instance(3, 20, 27, 39, 1, 0));
+  out.push_back(seeded_instance(11, 20, 27, 39, 2, 2));
+  out.push_back(seeded_instance(23, 18, 21, 55, 1, 2));
+  out.push_back(gen::hard_integral_family(2).instance);
+  out.push_back(gen::hard_integral_family(2, 3, 4.0).instance);
+  out.push_back(gen::hard_integral_family(3, 2, 4.0).instance);
+  return out;
 }
 
 TEST(NodeTree, BestFirstWithFifoTies) {
@@ -231,6 +263,113 @@ TEST(Bnp, SeededReleaseWorkloadsAreCertifiedAndRealized) {
         << "seed=" << seed;
     EXPECT_GE(result.packing.height(), result.height - kTol);
   }
+}
+
+TEST(Bnp, CappedSearchCertifiesTheSameOptimaWithAndWithoutRounding) {
+  // Every node re-solves under the height cap at incumbent - 0.9, so the
+  // rounding incumbent and the trivial one cap differently and may
+  // explore different trees — but every certified quantity must agree.
+  std::size_t index = 0;
+  for (const Instance& ins : exactness_sweep()) {
+    const std::string label = "instance " + std::to_string(index++);
+    BnpOptions rounded;
+    BnpOptions trivial;
+    trivial.rounding_incumbent = false;
+    const BnpResult a = solve(ins, rounded);
+    const BnpResult b = solve(ins, trivial);
+    ASSERT_EQ(a.status, BnpStatus::Optimal) << label;
+    ASSERT_EQ(b.status, BnpStatus::Optimal) << label;
+    EXPECT_EQ(a.height, b.height) << label;
+    EXPECT_EQ(a.dual_bound, b.dual_bound) << label;
+    EXPECT_TRUE(testing::placement_valid(ins, a.packing.placement)) << label;
+    EXPECT_TRUE(testing::placement_valid(ins, b.packing.placement)) << label;
+  }
+}
+
+TEST(Bnp, JitteredFamilyKeepsTheCertificate) {
+  // The jittered generator draws per-item widths from (1/3, 1/2] but the
+  // certificate is the uniform family's: any two items pair, three never
+  // fit, so lp = rho_R + (2k+1)/2 and ip = rho_R + k + 1 regardless of
+  // the draws.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const auto fam = gen::hard_integral_jittered(2, 2, 3.0, seed);
+    EXPECT_DOUBLE_EQ(fam.certificate.lp_height, 3.0 + 2.5);
+    EXPECT_DOUBLE_EQ(fam.certificate.ip_height, 3.0 + 3.0);
+    const BnpResult r = solve(fam.instance);
+    ASSERT_EQ(r.status, BnpStatus::Optimal) << "seed=" << seed;
+    EXPECT_EQ(r.height, fam.certificate.ip_height) << "seed=" << seed;
+    EXPECT_EQ(r.dual_bound, fam.certificate.ip_height) << "seed=" << seed;
+  }
+}
+
+// Pivots a run takes with no fault injected: an injector with an empty
+// plan only counts.
+template <typename Run>
+std::uint64_t count_pivots(Run run) {
+  FaultInjector counter(FaultPlan{});
+  run(counter);
+  return counter.observed(FaultSite::Pivot);
+}
+
+// Two throws on consecutive pivots exhaust a re-solve's recovery ladder:
+// the first aborts the attempt on the primary backend, the second the
+// retry on the failover backend, leaving NumericalFailure — no verdict.
+FaultPlan exhaust_resolve_at_pivot(std::uint64_t pivot) {
+  FaultPlan plan;
+  plan.events.push_back({FaultSite::Pivot, pivot, FaultAction::Throw});
+  plan.events.push_back({FaultSite::Pivot, pivot + 1, FaultAction::Throw});
+  return plan;
+}
+
+TEST(Bnp, UncappedFallbackCertifiesANoVerdictCappedResolve) {
+  const auto family = gen::hard_integral_family(2);
+  const release::ConfigLpProblem problem =
+      release::make_problem(family.instance);
+  release::ConfigLpOptions lp = BnpOptions{}.lp;
+
+  // solve_node directly: the capped re-solve's first pivot trips the
+  // faults, and the fallback must still return a certified verdict.
+  const std::uint64_t root_pivots = count_pivots([&](FaultInjector& f) {
+    lp.fault = &f;
+    release::ConfigLpSolver solver(problem, lp);
+    (void)solver.solve();
+  });
+  FaultInjector injector(exhaust_resolve_at_pivot(root_pivots + 1));
+  lp.fault = &injector;
+  release::ConfigLpSolver solver(problem, lp);
+  const release::FractionalSolution root = solver.solve();
+  ASSERT_TRUE(root.feasible);
+  solver.ensure_height_cap_row();
+  // A cap below the root optimum binds, so the capped re-solve pivots.
+  const NodeEvaluation eval = solve_node(solver, {}, 0.5 * root.objective);
+  EXPECT_EQ(injector.fired(), 2u);
+  EXPECT_TRUE(eval.uncapped_fallback);
+  ASSERT_TRUE(eval.solution.feasible);
+  EXPECT_NEAR(eval.solution.objective, root.objective, kTol);
+
+  // The same faults on the first node re-solve of a whole search: a node
+  // left without a verdict would end the search Stalled; with the
+  // fallback it still certifies the optimum.
+  BnpOptions options;
+  options.rounding_incumbent = false;  // the root must branch
+  options.strong_branching_probes = 0;  // the first re-solve is a node
+  BnpOptions root_only = options;
+  root_only.budget.max_nodes = 1;
+  const std::uint64_t search_root_pivots =
+      count_pivots([&](FaultInjector& f) {
+        root_only.lp.fault = &f;
+        (void)bnp::solve(family.instance, root_only);
+      });
+  FaultInjector search_injector(
+      exhaust_resolve_at_pivot(search_root_pivots + 1));
+  options.lp.fault = &search_injector;
+  const BnpResult result = bnp::solve(family.instance, options);
+  EXPECT_EQ(search_injector.fired(), 2u);
+  ASSERT_EQ(result.status, BnpStatus::Optimal);
+  EXPECT_NEAR(result.height, family.certificate.ip_height, kTol);
+  EXPECT_LE(result.dual_bound, result.height + kTol);
+  EXPECT_TRUE(
+      testing::placement_valid(family.instance, result.packing.placement));
 }
 
 TEST(Bnp, RejectsNonIntegerAndPrecedenceInstances) {

@@ -116,23 +116,6 @@ TEST(Umbrella, BranchAndPrice) {
   EXPECT_EQ(parallel.status, bnp::BnpStatus::Optimal);
   EXPECT_NEAR(parallel.height, result.height, 1e-6);
 
-  // PR 9 conflict-learning units: the nogood store and the propagator
-  // are reachable through the umbrella.
-  bnp::conflicts::NogoodStore store;
-  release::BranchPredicate pred;
-  pred.kind = release::BranchPredicate::Kind::PairTogether;
-  pred.width_a = 0;
-  pred.width_b = 1;
-  EXPECT_TRUE(store.learn(
-      {bnp::conflicts::BranchLiteral{pred, lp::Sense::GE, 1.0}}));
-  EXPECT_EQ(store.size(), 1u);
-  const auto problem = release::make_problem(family.instance);
-  const bnp::conflicts::Propagator propagator(problem);
-  std::vector<bnp::conflicts::BranchLiteral> lits = {
-      {pred, lp::Sense::GE, 1.0}, {pred, lp::Sense::LE, 0.0}};
-  bnp::conflicts::NogoodStore::canonicalize(lits);
-  EXPECT_TRUE(propagator.propagate(lits).infeasible);
-
   const auto packer = make_packer("BnP");
   ASSERT_NE(packer, nullptr);
   EXPECT_EQ(packer->name(), "BnP");
