@@ -1,6 +1,6 @@
-// stripack_served — the solver service over TCP.
+// stripack_served — the solver service, over TCP or on stdin.
 //
-//   $ ./stripack_served [--host H] [--port P] [--workers N] [--cold]
+//   $ ./stripack_served [--stdin] [--host H] [--port P] [--workers N]
 //                       [--node-budget N] [--degraded-budget N]
 //                       [--backlog N] [--cache-capacity N]
 //                       [--cache-staleness N] [--time-limit SEC]
@@ -18,6 +18,16 @@
 // SIGTERM / SIGINT request a graceful drain: the listener closes,
 // in-flight solves finish and flush within --drain-seconds, and the
 // process exits 0 iff no connection had to be force-closed.
+//
+// `--stdin` serves a concatenated stream of `stripack-instance v1`
+// documents from stdin instead (`SolverService::serve_stream`) and writes
+// one `stripack-response v1` document per request to stdout, in request
+// order. With the default time limit of 0 the response stream is bitwise
+// identical at any --workers value. The TCP-only flags (--host, --port,
+// --max-request-bytes, the deadline and drain flags, --max-connections
+// and the backlog ladder) are a usage error in this mode. The exit
+// status is 0 iff every request was answered without error and every
+// response reached stdout.
 #include <csignal>
 #include <iostream>
 #include <string>
@@ -39,24 +49,57 @@ extern "C" void handle_drain_signal(int) {
 
 int usage() {
   std::cerr
-      << "usage: stripack_served [--host H] [--port P] [--workers N]\n"
-         "  [--cold] [--node-budget N] [--degraded-budget N] [--backlog N]\n"
-         "  [--cache-capacity N] [--cache-staleness N] [--time-limit SEC]\n"
-         "  [--max-request-bytes N] [--read-deadline SEC]\n"
-         "  [--write-deadline SEC] [--solve-deadline SEC]\n"
-         "  [--drain-seconds SEC] [--max-connections N]\n"
-         "  [--degrade-backlog N] [--shed-backlog N]\n"
+      << "usage: stripack_served [--stdin] [--host H] [--port P]\n"
+         "  [--workers N] [--node-budget N] [--degraded-budget N]\n"
+         "  [--backlog N] [--cache-capacity N] [--cache-staleness N]\n"
+         "  [--time-limit SEC] [--max-request-bytes N]\n"
+         "  [--read-deadline SEC] [--write-deadline SEC]\n"
+         "  [--solve-deadline SEC] [--drain-seconds SEC]\n"
+         "  [--max-connections N] [--degrade-backlog N]\n"
+         "  [--shed-backlog N]\n"
          "serves stripack-instance v1 request frames over TCP (frame =\n"
          "\"SPK1\" + u32 big-endian length + document); prints\n"
          "`listening <host> <port>` on stdout once bound; SIGTERM/SIGINT\n"
-         "drain gracefully (exit 0 iff the drain completed in budget)\n";
+         "drain gracefully (exit 0 iff the drain completed in budget).\n"
+         "--stdin reads concatenated documents from stdin and writes one\n"
+         "stripack-response v1 document per request to stdout; the TCP\n"
+         "flags (--host, --port, --max-request-bytes, the deadline and\n"
+         "drain flags, --max-connections, the backlog ladder) are then\n"
+         "rejected. --time-limit > 0 bounds each request's wall clock\n"
+         "(trading the bitwise --workers replay guarantee for tail\n"
+         "latency)\n";
   return 2;
+}
+
+// Flags only the TCP server reads; --stdin rejects them.
+bool is_tcp_flag(const std::string& flag) {
+  return flag == "--host" || flag == "--port" ||
+         flag == "--max-request-bytes" || flag == "--read-deadline" ||
+         flag == "--write-deadline" || flag == "--solve-deadline" ||
+         flag == "--drain-seconds" || flag == "--max-connections" ||
+         flag == "--degrade-backlog" || flag == "--shed-backlog";
+}
+
+// --stdin: one serve_stream pass. Exit 1 on any error response or when a
+// response could not be written (serve_stream counts only the responses
+// that reached the sink).
+int serve_stdin(const service::ServiceOptions& options) {
+  service::SolverService service(options);
+  const std::size_t served = service.serve_stream(std::cin, std::cout);
+  const service::ServiceStats stats = service.stats();
+  std::cerr << "served " << served << " request(s) across " << stats.classes
+            << " class(es): " << stats.cache_hits << " cache hit(s), "
+            << stats.warm_roots << " warm root(s), " << stats.degraded
+            << " degraded, " << stats.errors << " error(s)\n";
+  return stats.errors == 0 && served == stats.requests ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   service::net::ServerOptions options;
+  bool stdin_mode = false;
+  bool tcp_flag = false;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string flag = argv[i];
@@ -64,7 +107,7 @@ int main(int argc, char** argv) {
         STRIPACK_ASSERT(i + 1 < argc, "missing value after " + flag);
         return argv[++i];
       };
-      // Checked parses, like stripack_serve: malformed numeric flags end
+      // Checked parses, like stripack_solve: malformed numeric flags end
       // in a usage error, never an uncaught exception.
       auto next_count = [&](long long& out) {
         const std::string text = next();
@@ -79,7 +122,10 @@ int main(int argc, char** argv) {
         return false;
       };
       long long count = 0;
-      if (flag == "--host") {
+      if (is_tcp_flag(flag)) tcp_flag = true;
+      if (flag == "--stdin") {
+        stdin_mode = true;
+      } else if (flag == "--host") {
         options.host = next();
       } else if (flag == "--port") {
         if (!next_count(count) || count > 65535) return usage();
@@ -91,8 +137,6 @@ int main(int argc, char** argv) {
           std::cerr << "bad count for " << flag << ": '" << text << "'\n";
           return usage();
         }
-      } else if (flag == "--cold") {
-        options.service.warm_pool = false;
       } else if (flag == "--node-budget") {
         if (!next_count(count)) return usage();
         options.service.node_budget = static_cast<std::size_t>(count);
@@ -141,8 +185,13 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return usage();
   }
+  if (stdin_mode && tcp_flag) {
+    std::cerr << "--stdin takes no TCP server flags\n";
+    return usage();
+  }
 
   try {
+    if (stdin_mode) return serve_stdin(options.service);
     service::net::StripackServer server(options);
     const std::uint16_t port = server.start();
     g_server = &server;

@@ -13,9 +13,10 @@
 //
 // `--threads` / `--node-batch` configure the branch-and-price solver's
 // batch-synchronous parallel node evaluation (bnp only; default serial,
-// 0 = auto). `--time-limit` sets the bnp wall-clock deadline in seconds
-// (anytime: the solver still returns its best incumbent with a valid
-// [dual_bound, height] bracket; negative values are a usage error).
+// 0 = auto; negative values are a usage error). `--time-limit` sets the
+// bnp wall-clock deadline in seconds (anytime: the solver still returns
+// its best incumbent with a valid [dual_bound, height] bracket; negative
+// values are a usage error).
 // `--backend` picks the master LP's registered `lp::LpBackend` (see
 // lp/backend.hpp); a master that fails numerically on it still fails over
 // to the dense backend. `--verbose` prints the solver's node,
@@ -45,8 +46,8 @@ int usage() {
          "                      [--verbose]\n"
          "algorithms: dc uniform aptas kr list nfdh ffdh bfdh sleator "
          "skyline bnp\n"
-         "bnp flags: --threads N (0 = auto) and --node-batch B (0 = auto)\n"
-         "pick the batch-synchronous parallel node evaluation;\n"
+         "bnp flags: --threads N >= 0 (0 = auto) and --node-batch B >= 0\n"
+         "(0 = auto) pick the batch-synchronous parallel node evaluation;\n"
          "--time-limit SEC (>= 0) sets the anytime wall-clock deadline;\n"
          "--backend selects the master LP backend (";
   bool first = true;
@@ -98,6 +99,12 @@ int main(int argc, char** argv) {
         std::cerr << "bad integer for " << flag << ": '" << text << "'\n";
         return false;
       };
+      auto next_count = [&](int& out) {
+        if (!next_int(out)) return false;
+        if (out >= 0) return true;
+        std::cerr << "negative value for " << flag << "\n";
+        return false;
+      };
       auto next_double = [&](double& out) {
         const std::string text = next();
         if (util::parse_double(text, out)) return true;
@@ -115,9 +122,9 @@ int main(int argc, char** argv) {
       } else if (flag == "--out") {
         out_path = next();
       } else if (flag == "--threads") {
-        if (!next_int(threads)) return usage();
+        if (!next_count(threads)) return usage();
       } else if (flag == "--node-batch") {
-        if (!next_int(node_batch)) return usage();
+        if (!next_count(node_batch)) return usage();
       } else if (flag == "--time-limit") {
         if (!next_double(time_limit)) return usage();
         if (time_limit < 0.0) {

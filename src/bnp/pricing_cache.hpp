@@ -10,9 +10,9 @@
 // — a width-indexed dot product per pattern — and hands the best one to
 // the DFS as a warm incumbent. The DFS then prunes every subtree that
 // cannot *strictly* beat a known-achievable value, which typically
-// collapses the re-enumeration to a verification pass (measured >= 30%
-// fewer DFS node expansions on the BM_BranchAndPrice trees; see
-// BENCH_pr5_bnp_scale.json).
+// collapses the re-enumeration to a verification pass (`bench_e2e`'s
+// `pricing.dfs_expansions` counter on `solve_deep` tracks the expansions
+// the DFS still performs).
 //
 // Branch-row bonuses are applied as deltas on cached entries: each
 // registered branching row stores its predicate once, and each pattern

@@ -15,8 +15,7 @@
 // never on which thread ran it, how many threads exist, or which other
 // nodes share the batch. That is the determinism argument: for a fixed
 // batch size B the explored tree, bounds and final packing are
-// bit-identical across thread counts, in the spirit of the LP engine's
-// `pricing_threads`.
+// bit-identical across thread counts.
 //
 // The pool's worker threads are owned here (a util::ThreadPool sized to
 // the requested thread count, independent of the hardware count so

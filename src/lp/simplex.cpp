@@ -8,7 +8,6 @@
 
 #include "util/assert.hpp"
 #include "util/fault_injection.hpp"
-#include "util/parallel_for.hpp"
 
 namespace stripack::lp {
 
@@ -24,20 +23,6 @@ constexpr double kResidualTol = 1e-6;
 // ladder escalates (cold restart, then NumericalFailure).
 constexpr int kMaxNumericalRetries = 3;
 constexpr int kNoColumn = std::numeric_limits<int>::min();
-// Minimum scan size before the optional pricing threads engage.
-// parallel_for now runs on the shared ThreadPool (a condition-variable
-// wake per call instead of thread spawns), but a parallel section still
-// costs a few microseconds of synchronization — small scans run serial
-// regardless of `pricing_threads`.
-constexpr std::size_t kParallelScanMin = 4096;
-constexpr std::size_t kScanChunk = 1024;
-
-// Per-chunk result of a pricing scan; merged in chunk order so parallel
-// scans reproduce the serial tie-breaks exactly.
-struct ScanBest {
-  int code = kNoColumn;
-  double rc = 0.0;
-};
 
 // One pivot of the product-form inverse: B_new^{-1} = E^{-1} B_old^{-1}
 // where E is the identity with column `row` replaced by the pivot
@@ -644,12 +629,6 @@ class SimplexEngine::Impl {
     return options_.pricing == PricingRule::Bland;
   }
 
-  // 0 = hardware concurrency, >1 = that many threads; 1 and any negative
-  // value mean serial.
-  [[nodiscard]] bool parallel_pricing_enabled() const {
-    return options_.pricing_threads == 0 || options_.pricing_threads > 1;
-  }
-
   [[nodiscard]] std::span<const RowEntry> entries_of(int code) {
     if (is_structural(code)) return cols_[code];
     const int r = logical_row(code);
@@ -992,22 +971,18 @@ class SimplexEngine::Impl {
     int best = kNoColumn;
     double best_rc = -tol;
     // Revalidate the candidate list against the current duals.
-    if (parallel_pricing_enabled() && candidates_.size() >= kParallelScanMin) {
-      revalidate_candidates_parallel(tol, best, best_rc);
-    } else {
-      std::size_t keep = 0;
-      for (const int code : candidates_) {
-        if (in_basis(code)) continue;
-        const double rc = reduced_cost(code);
-        if (rc >= -tol) continue;
-        candidates_[keep++] = code;
-        if (rc < best_rc) {
-          best_rc = rc;
-          best = code;
-        }
+    std::size_t keep = 0;
+    for (const int code : candidates_) {
+      if (in_basis(code)) continue;
+      const double rc = reduced_cost(code);
+      if (rc >= -tol) continue;
+      candidates_[keep++] = code;
+      if (rc < best_rc) {
+        best_rc = rc;
+        best = code;
       }
-      candidates_.resize(keep);
     }
+    candidates_.resize(keep);
     if (best != kNoColumn) {
       rc_out = best_rc;
       return best;
@@ -1038,46 +1013,6 @@ class SimplexEngine::Impl {
     }
     rc_out = best_rc;
     return best;
-  }
-
-  // Chunked candidate revalidation: each fixed-size chunk keeps its
-  // improving codes and chunk-best; merging in chunk order reproduces the
-  // serial scan exactly (same kept order, same strict-< tie-breaks), so
-  // the pivot sequence is independent of the thread count.
-  void revalidate_candidates_parallel(double tol, int& best, double& best_rc) {
-    const std::size_t n = candidates_.size();
-    const std::size_t nchunks = (n + kScanChunk - 1) / kScanChunk;
-    std::vector<std::vector<int>> kept(nchunks);
-    std::vector<ScanBest> chunk_best(nchunks);
-    parallel_for(
-        nchunks,
-        [&](std::size_t ci) {
-          const std::size_t begin = ci * kScanChunk;
-          const std::size_t end = std::min(n, begin + kScanChunk);
-          ScanBest& cb = chunk_best[ci];
-          cb.rc = -tol;
-          for (std::size_t k = begin; k < end; ++k) {
-            const int code = candidates_[k];
-            if (in_basis(code)) continue;
-            const double rc = reduced_cost(code);
-            if (rc >= -tol) continue;
-            kept[ci].push_back(code);
-            if (rc < cb.rc) {
-              cb.rc = rc;
-              cb.code = code;
-            }
-          }
-        },
-        static_cast<unsigned>(std::max(options_.pricing_threads, 0)));
-    std::size_t keep = 0;
-    for (std::size_t ci = 0; ci < nchunks; ++ci) {
-      for (const int code : kept[ci]) candidates_[keep++] = code;
-      if (chunk_best[ci].code != kNoColumn && chunk_best[ci].rc < best_rc) {
-        best_rc = chunk_best[ci].rc;
-        best = chunk_best[ci].code;
-      }
-    }
-    candidates_.resize(keep);
   }
 
   // ----- core iteration ---------------------------------------------------

@@ -103,15 +103,6 @@ struct SimplexOptions {
   /// Entering-variable rule. A long degenerate streak switches Dantzig to
   /// Bland for the rest of the solve.
   PricingRule pricing = PricingRule::Dantzig;
-  /// Threads for Dantzig's candidate-list revalidation: 0 = hardware
-  /// concurrency, > 1 = that many threads, 1 or negative = serial.
-  /// Deterministic for any value — work
-  /// is split into fixed chunks and merged in chunk order, reproducing
-  /// the serial scan's tie-breaks. Scans run on the shared ThreadPool
-  /// (`parallel_for`), whose wake-up still costs a few microseconds, so
-  /// this is for *wide* models: candidate lists under 4096 columns
-  /// (`kParallelScanMin` in simplex.cpp) run serial whatever the setting.
-  int pricing_threads = 1;
   /// Warm-start basis (see slack_code); empty = cold two-phase start. A
   /// singular or primal-infeasible basis silently falls back to cold.
   std::vector<int> initial_basis;

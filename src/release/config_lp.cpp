@@ -649,7 +649,6 @@ struct ConfigLpSolver::State {
     STRIPACK_EXPECTS(p.demand.size() == p.releases.size());
     simplex_options.tol = options.tol;
     simplex_options.pricing = options.pricing;
-    simplex_options.pricing_threads = options.pricing_threads;
     simplex_options.stop = options.stop;
     simplex_options.fault = options.fault;
     backend_name = options.backend;

@@ -148,9 +148,6 @@ struct ConfigLpOptions {
   /// Entering-variable rule for the underlying simplex: Dantzig (the
   /// default) or Bland.
   lp::PricingRule pricing = lp::PricingRule::Dantzig;
-  /// Pricing-scan threads (forwarded to `SimplexOptions::pricing_threads`;
-  /// 1 = serial, 0 = hardware concurrency; deterministic either way).
-  int pricing_threads = 1;
   /// Memoized pricing (column-generation mode): intern every pattern the
   /// oracle emits or adopts into a `bnp::PricingCache` and, before each
   /// exact pricing DFS, probe the cache for a warm incumbent — unchanged

@@ -175,26 +175,20 @@ void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
       opts.budget.max_seconds = options_.request_time_limit;
     }
     try {
-      bnp::BnpResult result;
-      if (options_.warm_pool) {
-        if (cls.problem == nullptr) {
-          cls.problem = std::make_unique<release::ConfigLpProblem>(
-              release::make_problem(p.request.instance));
-          // Mirror bnp::solve's solver construction (solve_warm skips
-          // it): the pattern cache lives inside the master.
-          release::ConfigLpOptions lp = opts.lp;
-          lp.use_pricing_cache =
-              opts.pricing_cache && lp.use_column_generation;
-          cls.master.emplace(*cls.problem, lp);
-        } else {
-          cls.problem->demand =
-              release::make_problem(p.request.instance).demand;
-        }
-        r.warm_root = cls.master->solved();
-        result = bnp::solve_warm(p.request.instance, opts, *cls.master);
+      if (cls.problem == nullptr) {
+        cls.problem = std::make_unique<release::ConfigLpProblem>(
+            release::make_problem(p.request.instance));
+        // Mirror bnp::solve's solver construction (solve_warm skips it):
+        // the pattern cache lives inside the master.
+        release::ConfigLpOptions lp = opts.lp;
+        lp.use_pricing_cache = opts.pricing_cache && lp.use_column_generation;
+        cls.master.emplace(*cls.problem, lp);
       } else {
-        result = bnp::solve(p.request.instance, opts);
+        cls.problem->demand = release::make_problem(p.request.instance).demand;
       }
+      r.warm_root = cls.master->solved();
+      bnp::BnpResult result =
+          bnp::solve_warm(p.request.instance, opts, *cls.master);
       r.ok = true;
       r.status = result.status;
       r.height = result.height;

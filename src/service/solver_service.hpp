@@ -54,11 +54,6 @@ struct ServiceOptions {
   /// deterministic util/ThreadPool with one chunk per class). Any value
   /// produces bitwise-identical responses.
   int workers = 1;
-  /// false disables cross-request master reuse: every request cold-solves
-  /// through plain `bnp::solve` — the baseline arm of
-  /// `BM_ServiceThroughput`, and a bisection lever should a warm-pool
-  /// answer ever look suspect.
-  bool warm_pool = true;
   /// Base solver configuration per request; the budgets below override
   /// `bnp.budget.max_nodes`.
   bnp::BnpOptions bnp{};
@@ -96,7 +91,7 @@ struct ServiceResponse {
   bool cache_hit = false;
   bool degraded = false;
   /// Served on an already-warm master (diagnostic for the bench: false
-  /// for a class's first request and for the cold baseline arm).
+  /// for a class's first request and for cache hits).
   bool warm_root = false;
   /// Lemma 3.4 realization in the request's item order and units.
   Placement placement;
@@ -155,8 +150,8 @@ class SolverService {
   /// safe to call while requests are being enqueued concurrently).
   [[nodiscard]] ServiceStats stats() const;
 
-  /// Line-oriented response writer (shared by serve_stream, the
-  /// stripack_serve binary and the tests):
+  /// Line-oriented response writer (shared by serve_stream, the network
+  /// server in service/net and the tests):
   ///   stripack-response v1
   ///   request <id>
   ///   status optimal|node-limit|time-limit|stalled|error

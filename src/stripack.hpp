@@ -74,7 +74,6 @@
 #include "util/fault_injection.hpp"        // IWYU pragma: export
 #include "util/float_eq.hpp"               // IWYU pragma: export
 #include "util/net.hpp"                    // IWYU pragma: export
-#include "util/parallel_for.hpp"           // IWYU pragma: export
 #include "util/parse_num.hpp"              // IWYU pragma: export
 #include "util/rng.hpp"                    // IWYU pragma: export
 #include "util/stopwatch.hpp"              // IWYU pragma: export

@@ -94,10 +94,4 @@ void ThreadPool::run(std::size_t n,
   }
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(
-      std::max(4u, std::thread::hardware_concurrency()));
-  return pool;
-}
-
 }  // namespace stripack

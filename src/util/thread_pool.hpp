@@ -1,21 +1,18 @@
-// Reusable deterministic thread pool (extracted from parallel_for).
+// Reusable deterministic thread pool.
 //
-// `parallel_for` used to spawn and join fresh std::threads on every call —
-// roughly 100us of overhead per invocation, which forced hot paths (the
-// LP pricing scans, and now the branch-and-price node batches) to gate on
-// large work sizes. `ThreadPool` keeps a fixed set of workers alive and
-// feeds them static contiguous chunks, so repeated parallel sections cost
-// a condition-variable wake instead of thread creation.
+// `ThreadPool` keeps a fixed set of workers alive and feeds them static
+// contiguous chunks, so repeated parallel sections (the branch-and-price
+// node batches in bnp/worker_pool, the service's class pipelines) cost a
+// condition-variable wake instead of thread creation.
 //
-// Determinism contract (same as parallel_for, per docs/ARCHITECTURE.md):
-// the split of [0, n) into chunks depends only on (n, workers) — never on
-// timing — and `run` returns only after every index has executed. Which
-// OS thread executes a chunk is *not* specified, so callers must make
-// chunks independent (disjoint writes) and do any cross-chunk reduction
-// themselves, in chunk order, after `run` returns. Exceptions thrown by
-// `fn` are captured and the one from the lowest chunk index is rethrown
-// (the spawn-per-call code rethrew whichever was caught first — a race;
-// the pool's choice is reproducible).
+// Determinism contract (per docs/ARCHITECTURE.md): the split of [0, n)
+// into chunks depends only on (n, workers) — never on timing — and `run`
+// returns only after every index has executed. Which OS thread executes
+// a chunk is *not* specified, so callers must make chunks independent
+// (disjoint writes) and do any cross-chunk reduction themselves, in chunk
+// order, after `run` returns. Exceptions thrown by `fn` are captured and
+// the one from the lowest chunk index is rethrown, so the choice is
+// reproducible.
 #pragma once
 
 #include <condition_variable>
@@ -51,11 +48,6 @@ class ThreadPool {
   /// small. Not reentrant: `fn` must not call `run` on the same pool.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn,
            std::size_t parts = 0);
-
-  /// Process-wide shared pool, sized max(hardware_concurrency, 4) so the
-  /// concurrency paths stay genuinely multi-threaded (and sanitizer-
-  /// visible) even on single-core CI machines. Constructed on first use.
-  static ThreadPool& shared();
 
  private:
   struct Batch {

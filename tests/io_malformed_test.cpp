@@ -1,9 +1,10 @@
 // Hostile-input matrix for io/instance_io: the readers sit on a trust
-// boundary (stripack_serve feeds them raw stdin), so every malformed
-// document must end in a ContractViolation naming the offending line —
-// never a crash, an OOM pre-reserve, a hang, or a silently mis-parsed
-// instance. Each case here failed (crash, wrap-around reserve, or
-// silent zero) on the pre-hardening reader.
+// boundary (`stripack_served --stdin` feeds them raw stdin and the TCP
+// server feeds them raw frames), so every malformed document must end in
+// a ContractViolation naming the offending line — never a crash, an OOM
+// pre-reserve, a hang, or a silently mis-parsed instance. Each case here
+// failed (crash, wrap-around reserve, or silent zero) on the
+// pre-hardening reader.
 #include <gtest/gtest.h>
 
 #include <algorithm>

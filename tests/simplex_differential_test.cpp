@@ -316,51 +316,5 @@ TEST_P(SimplexDifferential, AgreesWithDenseTableauReference) {
 INSTANTIATE_TEST_SUITE_P(BackendRegistry, SimplexDifferential,
                          ::testing::ValuesIn(all_configs()), config_name);
 
-// A wide model on which *every* column prices negative at the start (all
-// costs negative, LE capacity rows): the first partial-pricing drought
-// block (limit/8 > 8192 columns here) floods the candidate list past the
-// parallel-scan threshold, so Dantzig's threaded revalidation path
-// genuinely executes.
-Model wide_profitable_model(Rng& rng, int rows, int cols) {
-  Model m;
-  for (int r = 0; r < rows; ++r) m.add_row(Sense::LE, rng.uniform(2.0, 6.0));
-  for (int c = 0; c < cols; ++c) {
-    std::vector<RowEntry> entries;
-    for (int r = 0; r < rows; ++r) {
-      if (rng.bernoulli(0.4)) entries.push_back({r, rng.uniform(0.1, 2.0)});
-    }
-    if (entries.empty()) entries.push_back({0, 1.0});
-    m.add_column(-rng.uniform(0.5, 3.0), entries);
-  }
-  return m;
-}
-
-TEST(SimplexParallelPricing, ThreadedScansReproduceTheSerialPivotSequence) {
-  // A model wide enough that the chunked candidate revalidation actually
-  // engages (see kParallelScanMin): it must replicate the serial
-  // tie-breaks exactly, so iteration counts and bases — not just
-  // objectives — match.
-  Rng rng(4242);
-  const Model m = wide_profitable_model(rng, 16, 120000);
-  SimplexOptions serial;
-  serial.pricing_threads = 1;
-  SimplexOptions threaded = serial;
-  threaded.pricing_threads = 4;
-  SimplexOptions negative = serial;
-  negative.pricing_threads = -3;  // documented: negative means serial
-  const Solution a = solve(m, serial);
-  const Solution b = solve(m, threaded);
-  const Solution c = solve(m, negative);
-  ASSERT_EQ(a.status, b.status);
-  ASSERT_TRUE(a.optimal());
-  certify_optimal_solution(m, a);
-  certify_optimal_solution(m, b);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_NEAR(a.objective, b.objective, 1e-9);
-  EXPECT_EQ(a.basis, b.basis);
-  EXPECT_EQ(a.iterations, c.iterations);
-  EXPECT_EQ(a.basis, c.basis);
-}
-
 }  // namespace
 }  // namespace stripack::lp

@@ -268,7 +268,7 @@ TEST(Umbrella, ServiceNet) {
   EXPECT_EQ(server.stats().responses, 1u);
 }
 
-// util: rng, float comparisons, tables, parallel_for, stopwatch.
+// util: rng, float comparisons, tables, ThreadPool, stopwatch.
 TEST(Umbrella, Util) {
   Rng rng(7);
   const double u = rng.uniform();
@@ -276,9 +276,6 @@ TEST(Umbrella, Util) {
   EXPECT_LT(u, 1.0);
   EXPECT_TRUE(approx_eq(0.1 + 0.2, 0.3));
   EXPECT_EQ(format_double(1.25, 2), "1.25");
-  std::vector<int> hits(16, 0);
-  parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
   ThreadPool pool(2);
   std::vector<int> pooled(16, 0);
   pool.run(pooled.size(), [&](std::size_t i) { pooled[i] = 1; });

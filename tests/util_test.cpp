@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -8,7 +7,6 @@
 
 #include "util/assert.hpp"
 #include "util/float_eq.hpp"
-#include "util/parallel_for.hpp"
 #include "util/parse_num.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -157,32 +155,6 @@ TEST(Table, CsvEscapesCommasAndQuotes) {
   std::getline(in, line);
   EXPECT_EQ(header, "a,b");
   EXPECT_EQ(line, "\"x,y\",\"say \"\"hi\"\"\"");
-}
-
-// ------------------------------------------------------------ parallel_for
-TEST(ParallelFor, VisitsEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, [&](std::size_t i) { hits[i]++; }, 4);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, HandlesZeroAndSingle) {
-  int calls = 0;
-  parallel_for(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  parallel_for(1, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(
-          100,
-          [](std::size_t i) {
-            if (i == 50) throw std::runtime_error("boom");
-          },
-          4),
-      std::runtime_error);
 }
 
 // ------------------------------------------------------------- parse_num
