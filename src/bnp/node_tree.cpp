@@ -26,7 +26,7 @@ int NodeTree::add_child(int parent, BranchDecision decision, double bound) {
   // A child never has a better bound than its parent's LP proved.
   child.bound = std::max(bound, nodes_[static_cast<std::size_t>(parent)].bound);
   child.decision = std::move(decision);
-  open_.insert({child.bound, child.id});
+  open_.insert({child.bound, -child.id});
   nodes_.push_back(std::move(child));
   return nodes_.back().id;
 }
@@ -34,7 +34,7 @@ int NodeTree::add_child(int parent, BranchDecision decision, double bound) {
 std::optional<int> NodeTree::pop_best() {
   if (open_.empty()) return std::nullopt;
   const auto it = open_.begin();
-  const int id = it->second;
+  const int id = -it->second;
   open_.erase(it);
   return id;
 }

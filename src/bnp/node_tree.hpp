@@ -1,8 +1,14 @@
 // Deterministic best-first search tree for branch and price (bnp/solver).
 //
-// Open nodes sit in a set ordered by (dual bound, id): the pop order is
-// bound-ascending with FIFO on ties, so a search is reproducible run to
-// run — no pointer ordering, no heap nondeterminism. The tree also tracks
+// Open nodes sit in a set ordered by (dual bound, -id): the pop order is
+// bound-ascending with the newest node first on ties — best-first across
+// bound levels, depth-first within one. Node bounds are LP values rounded
+// up to integers, so most open nodes tie; diving within the level finds
+// an integral solution at that level early (the incumbent check then
+// prunes the rest of it), and consecutive pops are parent → child, so
+// each re-solve warm-starts from its parent's basis. The order is total,
+// so a search is reproducible run to run — no pointer ordering, no heap
+// nondeterminism. The tree also tracks
 // the incumbent (best integral objective found so far) and exposes the
 // proven global dual bound; the solver's main loop reduces to pop /
 // process / branch against this class plus its node and time budgets.
@@ -58,8 +64,8 @@ class NodeTree {
   /// Creates an open child of `parent` carrying `decision`.
   int add_child(int parent, BranchDecision decision, double bound);
 
-  /// Pops the open node with the smallest bound (smallest id on ties);
-  /// nullopt once no node is open.
+  /// Pops the open node with the smallest bound (largest id, i.e. the
+  /// most recently created, on ties); nullopt once no node is open.
   [[nodiscard]] std::optional<int> pop_best();
 
   [[nodiscard]] const Node& node(int id) const {
@@ -90,7 +96,7 @@ class NodeTree {
 
  private:
   std::vector<Node> nodes_;
-  std::set<std::pair<double, int>> open_;  // (bound, id), ascending
+  std::set<std::pair<double, int>> open_;  // (bound, -id), ascending
   bool has_incumbent_ = false;
   double incumbent_ = 0.0;
 };

@@ -565,8 +565,9 @@ void strong_branch_root(Search& search,
 
 // In-place executor (one node per round, one thread; the default): the
 // node re-solves the one shared master itself, so it sees every column
-// priced before it and sibling hops reuse the previous node's basis. Only
-// the diff against the previously evaluated node's path is touched, so
+// priced before it and reuses the previous node's basis — under the
+// tree's newest-first tie order that is usually its parent's. Only the
+// diff against the previously evaluated node's path is touched, so
 // activation costs O(path log path) rather than O(all rows) per node.
 class InPlaceExecutor {
  public:
@@ -659,8 +660,9 @@ void run_search(Search& search, const lp::StopToken& stop, int batch_size,
           in_place.evaluate(search.solver, tasks.front(), height_cap));
     }
 
-    // Pop order is best-first with id-ascending ties, and each evaluation
-    // depends only on its own task, so this is the canonical serial order.
+    // Pop order is best-first with newest-first (id-descending) ties, and
+    // each evaluation depends only on its own task, so this is the
+    // canonical serial order.
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (search.merge(ids[i], evals[i])) continue;
       // The rest of the round leaves the open set here; fold every

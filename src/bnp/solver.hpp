@@ -20,7 +20,10 @@
 // integralization.
 //
 // Search: deterministic best-first branch and bound (bnp/node_tree) over
-// one shared `ConfigLpSolver` master. Every node re-solve is warm — the
+// one shared `ConfigLpSolver` master, diving depth-first within a bound
+// level (newest open node first on equal bounds), so the search reaches
+// an integral solution at the root's level early and each node re-solves
+// from its parent's basis. Every node re-solve is warm — the
 // node's branching rows enter through `sync_rows()` + `solve_dual()`
 // (never a cold solve; `warm_phase1_iterations` stays 0) — with
 // Ryan–Foster-style branching on fractional configuration pairs, exact

@@ -182,8 +182,9 @@ TEST(BnpParallel, PseudoCostBranchingStaysExactOnGapFamilies) {
 TEST(BnpParallel, BudgetedBatchRunsKeepValidBrackets) {
   // A node budget smaller than the tree must yield NodeLimit with a
   // bracket that still sandwiches the true optimum — including when the
-  // budget bites mid-batch (budget 10, batches of 4).
-  const Instance ins = seeded_instance(3, 20, 27, 39, 1, 0);
+  // budget bites mid-batch (budget 10, batches of 4). The jittered gap
+  // family keeps the truth search well above the budget.
+  const Instance ins = gen::hard_integral_jittered(5, 2, 6.0, 1001).instance;
   BnpOptions exact;
   exact.rounding_incumbent = false;
   const BnpResult truth = solve(ins, exact);

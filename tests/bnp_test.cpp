@@ -60,7 +60,7 @@ std::vector<Instance> exactness_sweep() {
   return out;
 }
 
-TEST(NodeTree, BestFirstWithFifoTies) {
+TEST(NodeTree, BestFirstWithNewestFirstTies) {
   NodeTree tree;
   tree.add_root(5.0);
   ASSERT_EQ(tree.pop_best(), 0);
@@ -69,9 +69,12 @@ TEST(NodeTree, BestFirstWithFifoTies) {
   const int b = tree.add_child(0, d, 6.0);
   const int c = tree.add_child(0, d, 7.0);
   EXPECT_EQ(tree.pop_best(), b);
-  // Equal bounds pop in creation order.
-  EXPECT_EQ(tree.pop_best(), a);
+  // Equal bounds pop newest first, so a child created after a pop dives
+  // ahead of the older nodes at its bound.
+  const int b1 = tree.add_child(b, d, 7.0);
+  EXPECT_EQ(tree.pop_best(), b1);
   EXPECT_EQ(tree.pop_best(), c);
+  EXPECT_EQ(tree.pop_best(), a);
   EXPECT_EQ(tree.pop_best(), std::nullopt);
 }
 
@@ -299,6 +302,30 @@ TEST(Bnp, JitteredFamilyKeepsTheCertificate) {
     ASSERT_EQ(r.status, BnpStatus::Optimal) << "seed=" << seed;
     EXPECT_EQ(r.height, fam.certificate.ip_height) << "seed=" << seed;
     EXPECT_EQ(r.dual_bound, fam.certificate.ip_height) << "seed=" << seed;
+  }
+}
+
+TEST(Bnp, DivingClosesDeepGapFamilies) {
+  // On the gap families the root's rounded bound already equals the IP
+  // optimum, so certifying is a hunt for an integral solution at the
+  // root's bound level. Diving within the level (newest open node first
+  // on bound ties) finds it in tens of nodes; the budget of 200 is far
+  // below what a breadth-first sweep of the level needs (about 4000
+  // nodes on k=4, more than the default 10 000 on k=5).
+  const gen::HardIntegralInstance families[] = {
+      gen::hard_integral_jittered(4, 2, 5.0, 5),
+      gen::hard_integral_jittered(5, 2, 6.0, 1001),
+  };
+  EXPECT_DOUBLE_EQ(families[1].certificate.ip_height, 12.0);
+  for (const auto& fam : families) {
+    const std::string label = std::to_string(fam.certificate.n) + " items";
+    const BnpResult r = solve(fam.instance);
+    ASSERT_EQ(r.status, BnpStatus::Optimal) << label;
+    EXPECT_LE(r.nodes, 200u) << label;
+    EXPECT_EQ(r.height, fam.certificate.ip_height) << label;
+    EXPECT_EQ(r.dual_bound, r.height) << label;
+    EXPECT_TRUE(testing::placement_valid(fam.instance, r.packing.placement))
+        << label;
   }
 }
 
