@@ -3,20 +3,16 @@
 //   $ ./stripack_solve <instance.txt> [--algo dc|uniform|aptas|kr|list|
 //                                       nfdh|ffdh|bfdh|sleator|skyline|bnp]
 //                      [--eps E] [--K k] [--svg out.svg] [--out placement.txt]
-//                      [--threads N] [--node-batch B] [--time-limit SEC]
-//                      [--backend NAME] [--verbose]
+//                      [--time-limit SEC] [--backend NAME] [--verbose]
 //
 // Reads the text format of io/instance_io.hpp, picks the algorithm (or
 // chooses one from the instance's constraints when --algo is omitted),
 // validates the result, and reports the height against the certified lower
 // bounds. A downstream user's one-stop entry point.
 //
-// `--threads` / `--node-batch` configure the branch-and-price solver's
-// batch-synchronous parallel node evaluation (bnp only; default serial,
-// 0 = auto; negative values are a usage error). `--time-limit` sets the
-// bnp wall-clock deadline in seconds (anytime: the solver still returns
-// its best incumbent with a valid [dual_bound, height] bracket; negative
-// values are a usage error).
+// `--time-limit` sets the bnp wall-clock deadline in seconds (anytime:
+// the solver still returns its best incumbent with a valid
+// [dual_bound, height] bracket; negative values are a usage error).
 // `--backend` picks the master LP's registered `lp::LpBackend` (see
 // lp/backend.hpp); a master that fails numerically on it still fails over
 // to the dense backend. `--verbose` prints the solver's node,
@@ -41,15 +37,12 @@ int usage() {
   std::cerr
       << "usage: stripack_solve <instance.txt> [--algo NAME] [--eps E]\n"
          "                      [--K k] [--svg out.svg] [--out place.txt]\n"
-         "                      [--threads N] [--node-batch B]\n"
          "                      [--time-limit SEC] [--backend NAME]\n"
          "                      [--verbose]\n"
          "algorithms: dc uniform aptas kr list nfdh ffdh bfdh sleator "
          "skyline bnp\n"
-         "bnp flags: --threads N >= 0 (0 = auto) and --node-batch B >= 0\n"
-         "(0 = auto) pick the batch-synchronous parallel node evaluation;\n"
-         "--time-limit SEC (>= 0) sets the anytime wall-clock deadline;\n"
-         "--backend selects the master LP backend (";
+         "bnp flags: --time-limit SEC (>= 0) sets the anytime wall-clock\n"
+         "deadline; --backend selects the master LP backend (";
   bool first = true;
   for (const std::string& name : lp::lp_backend_names()) {
     std::cerr << (first ? "" : " | ") << name;
@@ -77,8 +70,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   double eps = 0.5;
   int K = 4;
-  int threads = 1;
-  int node_batch = 0;
   double time_limit = 0.0;  // 0 = unlimited
   std::string backend = lp::kDefaultLpBackend;
   bool verbose = false;
@@ -99,12 +90,6 @@ int main(int argc, char** argv) {
         std::cerr << "bad integer for " << flag << ": '" << text << "'\n";
         return false;
       };
-      auto next_count = [&](int& out) {
-        if (!next_int(out)) return false;
-        if (out >= 0) return true;
-        std::cerr << "negative value for " << flag << "\n";
-        return false;
-      };
       auto next_double = [&](double& out) {
         const std::string text = next();
         if (util::parse_double(text, out)) return true;
@@ -121,10 +106,6 @@ int main(int argc, char** argv) {
         svg_path = next();
       } else if (flag == "--out") {
         out_path = next();
-      } else if (flag == "--threads") {
-        if (!next_count(threads)) return usage();
-      } else if (flag == "--node-batch") {
-        if (!next_count(node_batch)) return usage();
       } else if (flag == "--time-limit") {
         if (!next_double(time_limit)) return usage();
         if (time_limit < 0.0) {
@@ -193,8 +174,6 @@ int main(int argc, char** argv) {
       }
       if (integral) {
         bnp::BnpOptions options;
-        options.threads = threads;
-        options.node_batch = node_batch;
         options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
         if (backend != lp::kDefaultLpBackend) {
@@ -214,16 +193,10 @@ int main(int argc, char** argv) {
                     << ", " << result.height << "] (" << why
                     << " hit; incumbent not certified)";
         }
-        std::cout << " over " << result.nodes << " node(s)";
-        if (options.threads != 1 || options.node_batch != 0) {
-          std::cout << " (threads " << options.threads << ", batch "
-                    << options.node_batch << ")";
-        }
-        std::cout << "\n";
+        std::cout << " over " << result.nodes << " node(s)\n";
         if (verbose) {
           std::cout << "bnp: dual bound " << result.dual_bound
                     << ", nodes created " << result.nodes_created
-                    << ", batches " << result.batches
                     << ", strong-branch probes "
                     << result.strong_branch_probes << "\n"
                     << "bnp: branch rows " << result.branch_rows
@@ -242,18 +215,14 @@ int main(int argc, char** argv) {
                     << result.lp_refactor_retries << ", residual repairs "
                     << result.lp_residual_repairs << ", cold restarts "
                     << result.lp_cold_restarts << ", master failovers "
-                    << result.master_failovers << ", node retries "
-                    << result.node_retries << "\n";
+                    << result.master_failovers << "\n";
         }
         placement = result.packing.placement;
       } else {
         STRIPACK_ASSERT(!instance.has_release_times(),
                         "bnp needs integer data on release instances");
-        // Quantizing adapter path: forward the solver flags so --threads
-        // / --node-batch are honoured here too.
+        // Quantizing adapter path: forward the solver flags.
         bnp::BnpOptions options = bnp::BnpPacker::default_pack_options();
-        options.threads = threads;
-        options.node_batch = node_batch;
         if (time_limit > 0.0) options.budget.max_seconds = time_limit;
         options.lp.backend = backend;
         const bnp::BnpPacker packer(options);

@@ -23,9 +23,7 @@
 // lookups, not predicate re-evaluation.
 //
 // The cache is deliberately self-contained (patterns + predicates + match
-// bits); `release::ConfigLpSolver` owns one per solver instance and
-// *copies* it into worker clones, so batch-parallel node evaluation reads
-// a frozen snapshot without locks.
+// bits); `release::ConfigLpSolver` owns one per solver instance.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +102,6 @@ class PricingCache {
   [[nodiscard]] std::int64_t hits() const { return hits_; }
   /// Exact-memo lookups that skipped a search entirely.
   [[nodiscard]] std::int64_t memo_hits() const { return memo_hits_; }
-  /// Zeroes probes/hits (patterns and memo stay): a worker clone reports
-  /// only its own activity.
-  void reset_stats() {
-    probes_ = 0;
-    hits_ = 0;
-    memo_hits_ = 0;
-  }
 
  private:
   struct Pattern {

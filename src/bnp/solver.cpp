@@ -9,7 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#include "bnp/worker_pool.hpp"
 #include "release/integralize.hpp"
 #include "util/assert.hpp"
 
@@ -82,8 +81,7 @@ using RowKey = std::pair<int, PredKey>;  // (sense, predicate)
 
 // Per-predicate pseudo-cost statistics: observed dual-bound gain per unit
 // of fractional distance, separately for the LE ("down") and GE ("up")
-// child. Updated in node-id order, so scores are deterministic and
-// identical across thread counts.
+// child. Updated in node order, so scores are deterministic.
 struct PseudoCost {
   double down_sum = 0.0;
   int down_n = 0;
@@ -370,8 +368,8 @@ struct Search {
     // bound. Fresh masters never hit the lookup (no rows yet).
     int row = solver.find_branch_row(d.pred, d.sense);
     if (row < 0) row = solver.add_branch_row(d.pred, d.sense, d.rhs);
-    // Park immediately: both executors treat "not on the active path" as
-    // neutral, and batch clones must snapshot neutral rows.
+    // Park immediately: the node loop treats "not on the active path" as
+    // neutral.
     solver.deactivate_branch_row(row);
     row_by_key.emplace(key, row);
     return row;
@@ -408,9 +406,8 @@ struct Search {
     return std::max(0.0, tree.incumbent() - 0.9);
   }
 
-  // Stall-gate observation: called once per round of the node loop,
-  // *before* the pop — a pure function of tree state at that boundary,
-  // so the gate is identical across thread counts.
+  // Stall-gate observation: called once per node of the node loop,
+  // *before* the pop — a pure function of tree state at that boundary.
   void observe_bound() {
     if (!options.pseudo_cost_branching ||
         options.pseudo_cost_stall_gate <= 0) {
@@ -470,25 +467,15 @@ struct Search {
     tree.add_child(id, std::move(ge), bound);
   }
 
-  // Merges one evaluated node: accounting, adoption of the columns a
-  // clone priced, then the verdict. False when the LP gave none —
-  // IterationLimit is "unknown", not "proven empty", so the caller stops
-  // with the bracket rather than mis-prune.
-  [[nodiscard]] bool merge(int id, const NodeEvaluation& eval) {
+  // Merges one solved node: accounting, then the verdict. False when the
+  // LP gave none — IterationLimit is "unknown", not "proven empty", so
+  // the caller stops with the bracket rather than mis-prune.
+  [[nodiscard]] bool merge(int id, const release::FractionalSolution& sol) {
     ++result.nodes;
-    accumulate(result, eval.solution);
-    accumulate(result, eval.pricing);
-    result.node_retries += eval.retries;
-    for (const release::AdoptableColumn& col : eval.new_columns) {
-      (void)solver.adopt_column(col.config, col.phase);
-    }
-    const release::FractionalSolution& sol = eval.solution;
+    accumulate(result, sol);
     // Certified: the subtree holds nothing better than the incumbent.
     if (sol.status == lp::SolveStatus::Infeasible) return true;
     if (!sol.feasible) return false;
-    // A node evaluated against a frozen incumbent may be prunable by one
-    // found earlier in this very round; process() handles that through
-    // its bound check (deterministically — merge order).
     observe_gain(id, sol.objective);
     process(id, sol);
     return true;
@@ -499,8 +486,7 @@ struct Search {
 // fractional pair candidates, seeding the pseudo-cost table with real
 // per-unit gains before the first branching decision. Runs on the shared
 // master (probe rows are parked again afterwards and the master is
-// re-solved back to its root state), so it is identical across thread
-// counts and batch sizes.
+// re-solved back to its root state).
 void strong_branch_root(Search& search,
                         const release::FractionalSolution& root) {
   const int probes = search.options.strong_branching_probes;
@@ -552,8 +538,8 @@ void strong_branch_root(Search& search,
     }
   }
   if (touched) {
-    // Re-solve the all-neutral master so the retained basis (the clone
-    // snapshot seed) is root-optimal again. The cap row must be parked
+    // Re-solve the all-neutral master so the first node re-solves from a
+    // root-optimal basis. The cap row must be parked
     // with the probe rows: a root whose LP gap to the incumbent is
     // inside the cap quantum would otherwise make this very re-solve
     // infeasible.
@@ -563,19 +549,19 @@ void strong_branch_root(Search& search,
   }
 }
 
-// In-place executor (one node per round, one thread; the default): the
-// node re-solves the one shared master itself, so it sees every column
-// priced before it and reuses the previous node's basis — under the
-// tree's newest-first tie order that is usually its parent's. Only the
-// diff against the previously evaluated node's path is touched, so
-// activation costs O(path log path) rather than O(all rows) per node.
+// In-place node executor: each node re-solves the one shared master
+// itself, so it sees every column priced before it and reuses the
+// previous node's basis — under the tree's newest-first tie order that
+// is usually its parent's. Only the diff against the previously
+// evaluated node's path is touched, so activation costs O(path log path)
+// rather than O(all rows) per node.
 class InPlaceExecutor {
  public:
-  [[nodiscard]] NodeEvaluation evaluate(release::ConfigLpSolver& master,
-                                        const NodeTask& task,
-                                        double height_cap) {
+  [[nodiscard]] NodeEvaluation evaluate(
+      release::ConfigLpSolver& master,
+      std::span<const std::pair<int, double>> path, double height_cap) {
     rows_.clear();
-    for (const auto& entry : task.path) rows_.push_back(entry.first);
+    for (const auto& entry : path) rows_.push_back(entry.first);
     std::sort(rows_.begin(), rows_.end());
     for (const int row : active_) {
       if (!std::binary_search(rows_.begin(), rows_.end(), row)) {
@@ -583,7 +569,7 @@ class InPlaceExecutor {
       }
     }
     std::swap(active_, rows_);
-    NodeEvaluation eval = solve_node(master, task.path, height_cap);
+    NodeEvaluation eval = solve_node(master, path, height_cap);
     const release::FractionalSolution& sol = eval.solution;
     // Farkas-repaired re-solves (a capped master that dipped infeasible
     // before pricing restored it) legitimately pass through phase 1, as
@@ -604,23 +590,14 @@ class InPlaceExecutor {
   bool prev_infeasible_ = false;
 };
 
-// The node loop. Each round pops up to `batch_size` open nodes
-// best-first, evaluates them — in place on the shared master (one node,
-// one thread) or on per-node clones of the frozen master
-// (bnp/worker_pool) — and merges the results in pop order. Clone rounds
-// are deterministic for any thread count at a fixed batch size: the
-// master's own rows stay parked, and one refresh per round adopts the
-// clones' columns.
-void run_search(Search& search, const lp::StopToken& stop, int batch_size,
-                int threads) {
+// The node loop: pop the best open node (skipping nodes that an
+// incumbent found since their creation already cuts off), re-solve it in
+// place under the current incumbent's height cap, and merge the verdict.
+void run_search(Search& search, const lp::StopToken& stop) {
   BnpResult& result = search.result;
   NodeTree& tree = search.tree;
-  InPlaceExecutor in_place;
-  std::optional<BnpWorkerPool> pool;
-  if (batch_size > 1 || threads > 1) pool.emplace(threads);
-  std::vector<int> ids;
-  std::vector<NodeTask> tasks;
-  std::vector<NodeEvaluation> evals;
+  InPlaceExecutor executor;
+  std::vector<std::pair<int, double>> path;
   std::vector<int> path_rows;
   while (!tree.done()) {
     if (result.nodes >= search.options.budget.max_nodes) {
@@ -632,58 +609,21 @@ void run_search(Search& search, const lp::StopToken& stop, int batch_size,
       break;
     }
     search.observe_bound();
-    const std::size_t allowance = std::min(
-        static_cast<std::size_t>(batch_size),
-        search.options.budget.max_nodes - result.nodes);
-    ids.clear();
-    tasks.clear();
-    while (ids.size() < allowance) {
-      const std::optional<int> popped = tree.pop_best();
-      if (!popped) break;
-      if (tree.node(*popped).bound >= tree.incumbent() - 0.5) continue;
-      ids.push_back(*popped);
-      tasks.emplace_back();
-      search.node_path(*popped, tasks.back().path, path_rows);
+    std::optional<int> id = tree.pop_best();
+    while (id && tree.node(*id).bound >= tree.incumbent() - 0.5) {
+      id = tree.pop_best();
     }
-    if (ids.empty()) break;
-
-    // The cap is frozen per round with the incumbent (a function of the
-    // tree at the pop boundary), so every clone sees the same value
-    // regardless of thread count.
-    const double height_cap = search.cap_rhs();
-    if (pool) {
-      evals = pool->evaluate(search.solver, tasks, height_cap);
-      ++result.batches;
-    } else {
-      evals.clear();
-      evals.push_back(
-          in_place.evaluate(search.solver, tasks.front(), height_cap));
-    }
-
-    // Pop order is best-first with newest-first (id-descending) ties, and
-    // each evaluation depends only on its own task, so this is the
-    // canonical serial order.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (search.merge(ids[i], evals[i])) continue;
-      // The rest of the round leaves the open set here; fold every
-      // unprocessed bound into the bracket so the reported dual bound
-      // never overclaims.
+    if (!id) break;
+    search.node_path(*id, path, path_rows);
+    const NodeEvaluation eval =
+        executor.evaluate(search.solver, path, search.cap_rhs());
+    if (!search.merge(*id, eval.solution)) {
+      // The node leaves the open set unresolved; fold its bound into the
+      // bracket so the reported dual bound never overclaims.
       search.stalled = true;
-      for (std::size_t k = i; k < ids.size(); ++k) {
-        search.stalled_bound =
-            std::min(search.stalled_bound, tree.node(ids[k]).bound);
-      }
+      search.stalled_bound =
+          std::min(search.stalled_bound, tree.node(*id).bound);
       return;
-    }
-
-    if (pool) {
-      // Refresh the master every round: pick up adopted columns and
-      // freshly materialized (neutral) child rows, and leave a
-      // root-optimal basis as the next round's clone snapshot.
-      const release::FractionalSolution refreshed = search.solver.resolve();
-      accumulate(result, refreshed);
-      STRIPACK_ASSERT(warm_path_ok(refreshed),
-                      "master refresh left the warm path");
     }
   }
 }
@@ -698,7 +638,6 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   STRIPACK_EXPECTS(!instance.empty());
   STRIPACK_EXPECTS(!instance.has_precedence());
   STRIPACK_EXPECTS(options.threads >= 0);
-  STRIPACK_EXPECTS(options.node_batch >= 0);
   for (const Item& it : instance.items()) {
     STRIPACK_EXPECTS(near_int(it.height(), 1e-6));
     STRIPACK_EXPECTS(near_int(it.release, 1e-6));
@@ -708,21 +647,17 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   const double rho_r = problem.releases.back();
 
   BnpOptions local = options;
-  // The pattern cache lives inside the ConfigLpSolver (and its clones).
+  // The pattern cache lives inside the ConfigLpSolver.
   local.lp.use_pricing_cache =
       options.pricing_cache && local.lp.use_column_generation;
-  const int threads = resolve_threads(local.threads);
-  int batch = local.node_batch;
-  if (batch == 0) batch = threads > 1 ? 4 * threads : 1;
 
   // Anytime deadline: the budget becomes the stop token's deadline (next
   // to the caller's own flag), and the token is threaded into every LP
-  // (re-)solve — node clones on worker threads included — so the deadline
-  // interrupts at *pivot boundaries* inside a node LP, not just between
-  // nodes, with no thread watching the clock. An interrupted LP reports
-  // IterationLimit (no certificate); the node loop folds the node's
-  // pre-solve tree bound into the bracket, so `dual_bound` stays valid on
-  // every exit path.
+  // (re-)solve, so the deadline interrupts at *pivot boundaries* inside a
+  // node LP, not just between nodes, with no thread watching the clock.
+  // An interrupted LP reports IterationLimit (no certificate); the node
+  // loop folds the node's pre-solve tree bound into the bracket, so
+  // `dual_bound` stays valid on every exit path.
   lp::StopToken& stop = local.lp.stop;
   if (local.budget.max_seconds > 0.0) {
     // At most about 31 years, so the conversion to clock ticks is exact.
@@ -776,8 +711,7 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   search.tol = local.tol;
   search.phases = problem.num_releases();
   // Materialize the (parked) cap row before any node is evaluated:
-  // activation is then a pure rhs change on the dual warm path, and batch
-  // clones inherit the row at a fixed index from the snapshot.
+  // activation is then a pure rhs change on the dual warm path.
   solver.ensure_height_cap_row();
   BnpResult& result = search.result;
   accumulate(result, root);
@@ -816,7 +750,7 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
     search.stalled_bound = search.tree.node(0).bound;
   }
 
-  if (!search.stalled) run_search(search, stop, batch, threads);
+  if (!search.stalled) run_search(search, stop);
 
   result.nodes_created = search.tree.created();
   result.branch_rows = search.row_by_key.size();
@@ -855,6 +789,25 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
 }
 
 }  // namespace
+
+NodeEvaluation solve_node(release::ConfigLpSolver& solver,
+                          std::span<const std::pair<int, double>> path,
+                          double height_cap) {
+  for (const auto& [row, rhs] : path) solver.set_branch_row_rhs(row, rhs);
+  NodeEvaluation out;
+  out.solution = solver.resolve_with_height_cap(height_cap);
+  if (!out.solution.feasible &&
+      out.solution.status != lp::SolveStatus::Infeasible) {
+    // A cap binding right at the LP optimum can exhaust the iteration
+    // budget, or the recovery ladder can run dry, without a verdict:
+    // re-solve this one node uncapped (a pure function of the node, so the
+    // fallback is deterministic) instead of stalling the search.
+    solver.clear_height_cap();
+    out.solution = solver.resolve();
+    out.uncapped_fallback = true;
+  }
+  return out;
+}
 
 BnpResult solve(const Instance& instance, const BnpOptions& options) {
   return solve_impl(instance, options, nullptr);

@@ -23,7 +23,9 @@
 // one shared `ConfigLpSolver` master, diving depth-first within a bound
 // level (newest open node first on equal bounds), so the search reaches
 // an integral solution at the root's level early and each node re-solves
-// from its parent's basis. Every node re-solve is warm — the
+// in place from its parent's basis. There is one node executor and it
+// runs on the calling thread: the search is the same at every
+// `BnpOptions::threads` value. Every node re-solve is warm — the
 // node's branching rows enter through `sync_rows()` + `solve_dual()`
 // (never a cold solve; `warm_phase1_iterations` stays 0) — with
 // Ryan–Foster-style branching on fractional configuration pairs, exact
@@ -33,15 +35,17 @@
 // objectives are integral, so a node whose capped master is infeasible
 // holds nothing strictly better than the incumbent and is pruned on that
 // certificate. A capped re-solve that ends without a verdict is redone
-// once uncapped. In column-generation mode an infeasible branched master
-// goes through *Farkas pricing* (columns generated against the engine's
-// infeasibility certificate), so node pruning only ever acts on verdicts
-// certified for the full master. This is the master/pricing
-// decomposition of Gilmore–Gomory cutting stock, phase-differenced for
-// release times.
+// once uncapped (`solve_node`). In column-generation mode an infeasible
+// branched master goes through *Farkas pricing* (columns generated
+// against the engine's infeasibility certificate), so node pruning only
+// ever acts on verdicts certified for the full master. This is the
+// master/pricing decomposition of Gilmore–Gomory cutting stock,
+// phase-differenced for release times.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bnp/node_tree.hpp"
@@ -74,33 +78,19 @@ struct BnpOptions {
   /// branch-and-price shape, with Farkas pricing at infeasible nodes);
   /// disabling it enumerates every configuration up front instead.
   /// `lp.backend` picks the master's `lp::LpBackend` from the registry
-  /// ("simplex" production engine, "dense" reference tableau) — node
-  /// clones inherit it, so the whole tree re-solves on one implementation.
+  /// ("simplex" production engine, "dense" reference tableau).
   release::ConfigLpOptions lp{.use_column_generation = true};
   SearchBudget budget;
   /// Seed the incumbent from the rounded root LP (floor early-phase
   /// supply, ceil phase-R, repair the lost coverage with phase-R
   /// singletons) instead of only the trivial stack-everything solution.
   bool rounding_incumbent = true;
-  /// Worker threads for batch node evaluation: 1 = serial (the default),
-  /// 0 = hardware concurrency. For a fixed `node_batch`, every thread
-  /// count produces the bit-identical search (tree, bounds, slices,
-  /// packing) — see bnp/worker_pool.
+  /// Ignored; kept only because the end-to-end harness sets it. Must be
+  /// >= 0; every value runs the same search on the calling thread.
   int threads = 1;
-  /// Nodes per batch-synchronous round. 1 (with threads == 1) keeps the
-  /// classic serial semantics: each node re-solves the one shared master
-  /// in place, seeing every previously priced column. Larger batches
-  /// evaluate the top-B open nodes against a master snapshot *frozen at
-  /// the batch start* (on per-node clones) and merge children, incumbents
-  /// and priced columns back in node-id order — the explored tree may
-  /// differ from B = 1 (that is the price of parallel evaluation), but is
-  /// identical for every thread count at the same B. 0 picks
-  /// automatically: 1 when threads == 1, else 4 * threads.
-  int node_batch = 0;
   /// Memoized pricing: maintain a cross-node pattern cache inside the
-  /// master (and every worker clone) that warm-seeds the exact pricing
-  /// DFS. Pricing stays exact; expansions drop sharply (see
-  /// `pricing_dfs_expansions`).
+  /// master that warm-seeds the exact pricing DFS. Pricing stays exact;
+  /// expansions drop sharply (see `pricing_dfs_expansions`).
   bool pricing_cache = true;
   /// Pseudo-cost branching: score fractional pair totals by observed
   /// per-unit dual-bound gains (initialized by strong branching at the
@@ -114,11 +104,10 @@ struct BnpOptions {
   /// Auto-gate for pseudo-cost branching (the n=120 regression fix):
   /// fall back to most-fractional selection once the proven dual bound
   /// has sat still for this many consecutive observations — one per
-  /// round of the node loop (a single node on the in-place path) — and
-  /// re-engage the moment the bound moves again. Gain observation
-  /// never stops, so the table stays warm for the re-engage. 0 leaves
-  /// pseudo costs permanently on. Deterministic: the gate is a function
-  /// of tree state at (batch) boundaries only.
+  /// node of the node loop — and re-engage the moment the bound moves
+  /// again. Gain observation never stops, so the table stays warm for
+  /// the re-engage. 0 leaves pseudo costs permanently on. Deterministic:
+  /// the gate is a function of tree state between nodes only.
   int pseudo_cost_stall_gate = 32;
   /// Recognition tolerance for integrality of pattern totals.
   double tol = 1e-6;
@@ -147,27 +136,24 @@ struct BnpResult {
   std::int64_t lp_iterations = 0;
   std::int64_t dual_iterations = 0;
   /// Phase-1 pivots across all warm node re-solves: 0 on the warm path
-  /// (asserted on every in-place node re-solve; worker clones may fall
-  /// back to a cold start if a snapshot basis fails to load, which is
-  /// deterministic and merely slower).
+  /// (asserted on every node re-solve).
   std::int64_t warm_phase1_iterations = 0;
   int farkas_rounds = 0;
   std::size_t farkas_columns = 0;
-  /// Batch-synchronous rounds executed (0 on the in-place path).
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t batches = 0;
   /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t cutoff_pruned_nodes = 0;
   /// Root strong-branching child LPs solved to initialize pseudo costs.
   std::size_t strong_branch_probes = 0;
   /// Recovery / anytime diagnostics: recovery-ladder activity summed over
-  /// every LP (re-)solve (see `release::FractionalSolution`), master
-  /// backend failovers, and batch-mode node evaluations retried from a
-  /// fresh clone of the frozen snapshot after a transient failure. All
-  /// zero on a numerically clean run.
+  /// every LP (re-)solve (see `release::FractionalSolution`) and master
+  /// backend failovers. All zero on a numerically clean run.
   int lp_refactor_retries = 0;
   int lp_residual_repairs = 0;
   int lp_cold_restarts = 0;
   int master_failovers = 0;
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
   int node_retries = 0;
   /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t nogoods_learned = 0;
@@ -175,13 +161,30 @@ struct BnpResult {
   std::size_t nogood_prunes = 0;
   /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t propagation_prunes = 0;
-  // Memoized-pricing counters, summed over the master and every clone.
+  // Memoized-pricing counters of the master.
   std::int64_t pricing_dfs_expansions = 0;
   std::int64_t pricing_cache_probes = 0;
   std::int64_t pricing_cache_hits = 0;
   std::int64_t pricing_memo_hits = 0;
   std::size_t pricing_cache_patterns = 0;
 };
+
+/// One node's LP verdict (`solve_node`).
+struct NodeEvaluation {
+  release::FractionalSolution solution;
+  /// True when the capped re-solve ended without a verdict and the node
+  /// was re-solved uncapped (which may legitimately leave the warm path).
+  bool uncapped_fallback = false;
+};
+
+/// Solves one node on `solver`: sets every `path` row to its rhs, then
+/// re-solves through `resolve_with_height_cap(height_cap)`, so a node
+/// that cannot beat the incumbent comes back certified infeasible. A
+/// capped re-solve without a verdict is re-solved once uncapped with a
+/// plain `resolve()`. Rows off the path must already be parked.
+[[nodiscard]] NodeEvaluation solve_node(
+    release::ConfigLpSolver& solver,
+    std::span<const std::pair<int, double>> path, double height_cap);
 
 /// Exact branch and price. The instance must be release-only (no
 /// precedence DAG) with integer heights and integer releases; throws

@@ -677,41 +677,6 @@ struct ConfigLpSolver::State {
                       total_demand + 1.0;
   }
 
-  // Deep copy for `ConfigLpSolver::clone`: same problem reference, copied
-  // model / column pool / branch rows / pattern cache, fresh oracle and
-  // engine. The engine warm-starts from `other.last_basis` extended with
-  // slack codes for rows added since that basis was captured (appended
-  // rows enter on their own logicals, exactly as `sync_rows` would).
-  explicit State(const State& other)
-      : problem(other.problem),
-        options(other.options),
-        layout(other.layout),
-        model(other.model),
-        table(other.table),
-        branch_rows(other.branch_rows),
-        inactive_le_rhs(other.inactive_le_rhs),
-        simplex_options(other.simplex_options),
-        backend_name(other.backend_name),
-        grid_denom(other.grid_denom),
-        last_basis(other.last_basis),
-        solved(other.solved) {
-    STRIPACK_EXPECTS(other.solved);
-    if (other.cache != nullptr) {
-      cache = std::make_unique<bnp::PricingCache>(*other.cache);
-      cache->reset_stats();
-    }
-    if (options.use_column_generation) {
-      oracle = std::make_unique<KnapsackOracle>(
-          problem, layout, table, branch_rows, cache.get(), grid_denom);
-    }
-    std::vector<int> basis = last_basis;
-    for (int r = static_cast<int>(basis.size()); r < model.num_rows(); ++r) {
-      basis.push_back(lp::slack_code(r));
-    }
-    simplex_options.initial_basis = std::move(basis);
-    engine = lp::make_lp_backend(backend_name, model, simplex_options);
-  }
-
   const ConfigLpProblem& problem;
   ConfigLpOptions options;
   RowLayout layout;
@@ -722,26 +687,16 @@ struct ConfigLpSolver::State {
   lp::SimplexOptions simplex_options;
   /// Registry name of the backend actually solving the master: the
   /// configured `options.backend`, or "dense" after a rung-3 failover.
-  /// Clones inherit it so a node's re-solves stay on the same
-  /// implementation as its parent's basis.
   std::string backend_name;
   std::unique_ptr<bnp::PricingCache> cache;  // memoized pricing (colgen)
-  /// Common width grid for the pricing DP bound (0: none); computed once
-  /// per problem and inherited by clones.
+  /// Common width grid for the pricing DP bound (0: none); computed once.
   int grid_denom = 0;
   std::unique_ptr<KnapsackOracle> oracle;  // column-generation mode only
   std::unique_ptr<lp::LpBackend> engine;   // see backend_name
-  /// Basis of the most recent optimal (re-)solve; clone's warm start.
-  std::vector<int> last_basis;
-  /// Dedup index for `adopt_column`: (phase, counts) of every
-  /// configuration column present, synced lazily from the table.
-  std::map<std::pair<std::size_t, std::vector<int>>, char> column_keys;
-  std::size_t column_keys_synced = 0;
   bool solved = false;
   /// Per-call recovery accumulators: reset at every public (re-)solve
   /// entry, summed over the `lp::Solution`s that call produced, copied
-  /// into the result by `finish()`. Clones restart at zero (not in the
-  /// copy ctor's init list), like every other per-solver counter.
+  /// into the result by `finish()`.
   int acc_refactor_retries = 0;
   int acc_residual_repairs = 0;
   int acc_cold_restarts = 0;
@@ -818,20 +773,6 @@ struct ConfigLpSolver::State {
     return finish(failed, 0, 0, 0);
   }
 
-  void sync_column_keys() {
-    for (std::size_t c = column_keys_synced; c < table.config_of.size();
-         ++c) {
-      const int q = table.config_of[c];
-      if (q >= 0) {
-        column_keys.emplace(
-            std::make_pair(table.phase_of[c],
-                           table.configs[static_cast<std::size_t>(q)].counts),
-            0);
-      }
-    }
-    column_keys_synced = table.config_of.size();
-  }
-
   [[nodiscard]] FractionalSolution finish(const lp::Solution& solution,
                                           std::int64_t iterations,
                                           int rounds,
@@ -850,7 +791,6 @@ struct ConfigLpSolver::State {
     if (!options.use_column_generation) {
       out.configurations = table.configs.size();
     }
-    if (solution.optimal()) last_basis = solution.basis;
     return out;
   }
 
@@ -1161,56 +1101,6 @@ FractionalSolution ConfigLpSolver::resolve() {
   State& s = *state_;
   STRIPACK_EXPECTS(s.solved);
   return s.resolve();
-}
-
-ConfigLpSolver::ConfigLpSolver(std::unique_ptr<State> state)
-    : state_(std::move(state)) {}
-
-ConfigLpSolver ConfigLpSolver::clone() const {
-  STRIPACK_EXPECTS(state_->solved);
-  return ConfigLpSolver(std::make_unique<State>(*state_));
-}
-
-const std::vector<int>& ConfigLpSolver::last_basis() const {
-  return state_->last_basis;
-}
-
-std::size_t ConfigLpSolver::num_columns() const {
-  return state_->table.config_of.size();
-}
-
-std::vector<AdoptableColumn> ConfigLpSolver::columns_since(
-    std::size_t first_column) const {
-  const State& s = *state_;
-  std::vector<AdoptableColumn> out;
-  for (std::size_t c = first_column; c < s.table.config_of.size(); ++c) {
-    const int q = s.table.config_of[c];
-    if (q >= 0) {
-      out.push_back({s.table.configs[static_cast<std::size_t>(q)],
-                     s.table.phase_of[c]});
-    }
-  }
-  return out;
-}
-
-bool ConfigLpSolver::adopt_column(const Configuration& config,
-                                 std::size_t phase) {
-  State& s = *state_;
-  STRIPACK_EXPECTS(s.solved);
-  STRIPACK_EXPECTS(config.counts.size() == s.problem.widths.size());
-  STRIPACK_EXPECTS(phase < s.layout.num_phases);
-  s.sync_column_keys();
-  const auto [it, fresh] =
-      s.column_keys.emplace(std::make_pair(phase, config.counts), 0);
-  if (!fresh) return false;
-  s.model.add_column(column_cost(s.layout, phase),
-                     column_entries(s.layout, s.branch_rows, config, phase),
-                     "ad[j=" + std::to_string(phase) + "]");
-  if (s.cache != nullptr) s.cache->insert(config.counts, config.total_width);
-  s.table.add(static_cast<int>(s.table.configs.size()), phase);
-  s.table.configs.push_back(config);
-  s.column_keys_synced = s.table.config_of.size();
-  return true;
 }
 
 bool ConfigLpSolver::solved() const { return state_->solved; }

@@ -122,9 +122,8 @@ struct FractionalSolution {
 };
 
 /// Pricing-side counters of a `ConfigLpSolver` (cumulative since
-/// construction; a clone starts at zero). `dfs_expansions` counts calls
-/// into the exact pricing DFS's recursion — the quantity the pattern
-/// cache exists to shrink.
+/// construction). `dfs_expansions` counts calls into the exact pricing
+/// DFS's recursion — the quantity the pattern cache exists to shrink.
 struct PricingStats {
   std::int64_t dfs_expansions = 0;
   std::int64_t cache_probes = 0;
@@ -132,13 +131,6 @@ struct PricingStats {
   /// Exact-input memo hits: pricing searches skipped outright.
   std::int64_t exact_memo_hits = 0;
   std::size_t cache_patterns = 0;
-};
-
-/// A configuration column priced by one solver, exportable into another
-/// (the batch-parallel merge path of bnp/solver).
-struct AdoptableColumn {
-  Configuration config;
-  std::size_t phase = 0;
 };
 
 struct ConfigLpOptions {
@@ -249,8 +241,7 @@ class ConfigLpSolver {
   /// insertion of an already-violated row (which would force a phase-1
   /// restart mid-search). Idempotent; requires a prior `solve()`.
   /// Branch-and-price calls this once before its node loop, whose every
-  /// node re-solve runs capped at the incumbent, so every clone inherits
-  /// the row at a fixed index.
+  /// node re-solve runs capped at the incumbent.
   void ensure_height_cap_row();
 
   /// Parks the height-cap row (no-op if it was never materialized)
@@ -291,34 +282,6 @@ class ConfigLpSolver {
   /// full master, never just the restricted one.
   [[nodiscard]] FractionalSolution resolve();
 
-  /// Deep copy for batch-parallel node evaluation: the clone shares the
-  /// (const) problem, copies the model / column pool / branch rows /
-  /// pattern cache, and warm-starts a fresh engine from this solver's
-  /// last optimal basis (`last_basis`, extended with slack codes for any
-  /// rows added since it was captured). Requires a prior `solve()`.
-  /// Cloning is const and touches no mutable solver state, so concurrent
-  /// clones of one master are safe; the clone itself is single-threaded.
-  [[nodiscard]] ConfigLpSolver clone() const;
-
-  /// Basis of the most recent optimal (re-)solve — the warm-start seed
-  /// `clone()` uses. Empty before the first optimal solve.
-  [[nodiscard]] const std::vector<int>& last_basis() const;
-
-  /// Total model columns (surpluses + configurations); the cursor for
-  /// `columns_since`.
-  [[nodiscard]] std::size_t num_columns() const;
-
-  /// The configuration columns added at or after model column index
-  /// `first_column` — what a worker clone priced beyond its snapshot.
-  [[nodiscard]] std::vector<AdoptableColumn> columns_since(
-      std::size_t first_column) const;
-
-  /// Adds a configuration column priced elsewhere (deduplicated by
-  /// (phase, counts) against every column already present): the
-  /// batch-merge path. Returns true when the column was actually new.
-  /// The engine picks adopted columns up on the next `resolve()`.
-  bool adopt_column(const Configuration& config, std::size_t phase);
-
   /// Cumulative pricing counters (DFS expansions, cache probes/hits).
   [[nodiscard]] PricingStats pricing_stats() const;
 
@@ -358,7 +321,6 @@ class ConfigLpSolver {
 
  private:
   struct State;
-  explicit ConfigLpSolver(std::unique_ptr<State> state);
   std::unique_ptr<State> state_;
 };
 

@@ -266,8 +266,12 @@ std::vector<ServiceResponse> SolverService::run() {
   if (options_.workers <= 1 || active.size() <= 1) {
     for (std::size_t k = 0; k < active.size(); ++k) work(k);
   } else {
-    ThreadPool pool(static_cast<unsigned>(options_.workers - 1));
-    pool.run(active.size(), work, active.size());
+    // The calling thread runs chunks too, so `workers` threads in total.
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<ThreadPool>(
+          static_cast<unsigned>(options_.workers - 1));
+    }
+    pool_->run(active.size(), work, active.size());
   }
 
   for (std::vector<ServiceResponse>& chunk : per_class) {

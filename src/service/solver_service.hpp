@@ -28,8 +28,7 @@
 // order; distinct classes are independent (separate masters, caches and
 // response slots) and merely execute on different pool threads. The
 // worker count therefore changes scheduling only — the response bytes
-// are bitwise identical at any worker count, extending the PR 5
-// batch-determinism argument from tree nodes to whole requests. Enabling
+// are bitwise identical at any worker count. Enabling
 // `request_time_limit` (or per-request `bnp.budget.max_seconds`) trades
 // that bitwise replay for bounded latency: deadlines are wall-clock.
 #pragma once
@@ -47,12 +46,16 @@
 #include "core/instance.hpp"
 #include "core/packing.hpp"
 
+namespace stripack {
+class ThreadPool;
+}  // namespace stripack
+
 namespace stripack::service {
 
 struct ServiceOptions {
   /// Concurrent class pipelines in `run()` (1 = serial; N uses the
-  /// deterministic util/ThreadPool with one chunk per class). Any value
-  /// produces bitwise-identical responses.
+  /// service's one persistent util/ThreadPool with one chunk per class).
+  /// Any value produces bitwise-identical responses.
   int workers = 1;
   /// Base solver configuration per request; the budgets below override
   /// `bnp.budget.max_nodes`.
@@ -187,6 +190,9 @@ class SolverService {
   std::vector<ServiceResponse> rejected_;
   std::size_t next_id_ = 0;
   std::unique_ptr<Sync> sync_;
+  /// The class-pipeline workers, built by the first run() that needs more
+  /// than one and kept for the service's lifetime.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace stripack::service

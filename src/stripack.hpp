@@ -22,7 +22,6 @@
 #include "bnp/node_tree.hpp"               // IWYU pragma: export
 #include "bnp/pricing_cache.hpp"           // IWYU pragma: export
 #include "bnp/solver.hpp"                  // IWYU pragma: export
-#include "bnp/worker_pool.hpp"             // IWYU pragma: export
 #include "core/bounds.hpp"                 // IWYU pragma: export
 #include "core/instance.hpp"               // IWYU pragma: export
 #include "core/packing.hpp"                // IWYU pragma: export

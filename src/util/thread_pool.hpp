@@ -1,9 +1,9 @@
 // Reusable deterministic thread pool.
 //
 // `ThreadPool` keeps a fixed set of workers alive and feeds them static
-// contiguous chunks, so repeated parallel sections (the branch-and-price
-// node batches in bnp/worker_pool, the service's class pipelines) cost a
-// condition-variable wake instead of thread creation.
+// contiguous chunks, so repeated parallel sections (the service's class
+// pipelines: one pool per `SolverService`, reused by every `run()`) cost
+// a condition-variable wake instead of thread creation.
 //
 // Determinism contract (per docs/ARCHITECTURE.md): the split of [0, n)
 // into chunks depends only on (n, workers) — never on timing — and `run`

@@ -11,7 +11,6 @@
 
 #include "bnp/node_tree.hpp"
 #include "bnp/solver.hpp"
-#include "bnp/worker_pool.hpp"
 #include "core/validate.hpp"
 #include "gen/hard_integral.hpp"
 #include "packers/registry.hpp"
@@ -58,6 +57,44 @@ std::vector<Instance> exactness_sweep() {
   out.push_back(gen::hard_integral_family(2, 3, 4.0).instance);
   out.push_back(gen::hard_integral_family(3, 2, 4.0).instance);
   return out;
+}
+
+// Triple-regime and mixed-width workloads plus hard_integral gap
+// families, including the release-wave variants (bursts > 1) whose gap
+// survives phasing; trees of a few dozen nodes each.
+std::vector<Instance> branching_sweep() {
+  std::vector<Instance> out;
+  out.push_back(seeded_instance(3, 20, 27, 39, 1, 0));
+  out.push_back(seeded_instance(7, 20, 27, 39, 1, 0));
+  out.push_back(seeded_instance(11, 20, 27, 39, 2, 2));
+  out.push_back(seeded_instance(23, 20, 27, 39, 2, 2));
+  out.push_back(seeded_instance(23, 18, 21, 55, 1, 2));
+  out.push_back(gen::hard_integral_family(2).instance);
+  out.push_back(gen::hard_integral_family(2, 3, 4.0).instance);
+  return out;
+}
+
+void expect_bit_identical(const BnpResult& a, const BnpResult& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.status, b.status) << label;
+  EXPECT_EQ(a.height, b.height) << label;
+  EXPECT_EQ(a.dual_bound, b.dual_bound) << label;
+  EXPECT_EQ(a.nodes, b.nodes) << label;
+  EXPECT_EQ(a.nodes_created, b.nodes_created) << label;
+  EXPECT_EQ(a.branch_rows, b.branch_rows) << label;
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations) << label;
+  EXPECT_EQ(a.dual_iterations, b.dual_iterations) << label;
+  ASSERT_EQ(a.slices.size(), b.slices.size()) << label;
+  for (std::size_t i = 0; i < a.slices.size(); ++i) {
+    EXPECT_EQ(a.slices[i].phase, b.slices[i].phase) << label;
+    EXPECT_EQ(a.slices[i].height, b.slices[i].height) << label;
+    EXPECT_EQ(a.slices[i].config.counts, b.slices[i].config.counts) << label;
+  }
+  ASSERT_EQ(a.packing.placement.size(), b.packing.placement.size()) << label;
+  for (std::size_t i = 0; i < a.packing.placement.size(); ++i) {
+    EXPECT_EQ(a.packing.placement[i].x, b.packing.placement[i].x) << label;
+    EXPECT_EQ(a.packing.placement[i].y, b.packing.placement[i].y) << label;
+  }
 }
 
 TEST(NodeTree, BestFirstWithNewestFirstTies) {
@@ -327,6 +364,109 @@ TEST(Bnp, DivingClosesDeepGapFamilies) {
     EXPECT_TRUE(testing::placement_valid(fam.instance, r.packing.placement))
         << label;
   }
+}
+
+TEST(Bnp, ThreadsLeaveTheSearchUnchanged) {
+  // `threads` is inert: every value runs the one in-place diving search,
+  // so 0 (hardware concurrency), 2 and 4 replay the 1-thread run field
+  // for field, and the batch counters stay at zero.
+  std::size_t total_nodes = 0;
+  for (const bool rounding : {true, false}) {
+    std::size_t index = 0;
+    for (const Instance& ins : branching_sweep()) {
+      BnpOptions serial;
+      serial.rounding_incumbent = rounding;
+      const BnpResult base = solve(ins, serial);
+      total_nodes += base.nodes;
+      for (const int threads : {0, 2, 4}) {
+        BnpOptions other_options = serial;
+        other_options.threads = threads;
+        const BnpResult other = solve(ins, other_options);
+        const std::string label = "instance " + std::to_string(index) +
+                                  " threads " + std::to_string(threads) +
+                                  " rounding " + std::to_string(rounding);
+        expect_bit_identical(base, other, label);
+        EXPECT_EQ(other.batches, 0u) << label;
+        EXPECT_EQ(other.node_retries, 0) << label;
+      }
+      ++index;
+    }
+  }
+  // The sweep must actually exercise multi-node searches.
+  EXPECT_GT(total_nodes, 40u);
+}
+
+TEST(Bnp, PricingCacheKeepsCertifiedQuantities) {
+  // Memoized pricing only seeds the exact DFS and skips repeated
+  // searches (keyed by the live, nonzero-multiplier branch rows), so
+  // every pricing round returns the same columns: status, height, dual
+  // bound and the whole search — nodes, children and LP pivots — must
+  // match the uncached run on the sweep, while the DFS expansion count
+  // drops.
+  std::int64_t cached_expansions = 0;
+  std::int64_t uncached_expansions = 0;
+  for (const Instance& ins : branching_sweep()) {
+    BnpOptions with_cache;
+    with_cache.rounding_incumbent = false;
+    BnpOptions without_cache = with_cache;
+    without_cache.pricing_cache = false;
+    const BnpResult a = solve(ins, with_cache);
+    const BnpResult b = solve(ins, without_cache);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_NEAR(a.height, b.height, kTol);
+    EXPECT_NEAR(a.dual_bound, b.dual_bound, kTol);
+    EXPECT_EQ(a.nodes, b.nodes);
+    EXPECT_EQ(a.nodes_created, b.nodes_created);
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+    cached_expansions += a.pricing_dfs_expansions;
+    uncached_expansions += b.pricing_dfs_expansions;
+    EXPECT_GT(a.pricing_cache_probes, 0) << "cache never probed";
+  }
+  EXPECT_GT(uncached_expansions, 0);
+  // The committed target: >= 30% fewer DFS expansions with memoized
+  // pricing on.
+  EXPECT_LT(static_cast<double>(cached_expansions),
+            0.7 * static_cast<double>(uncached_expansions));
+}
+
+TEST(Bnp, PseudoCostBranchingStaysExactOnGapFamilies) {
+  // The gap families need genuine branching to close their LP/IP gap; the
+  // pseudo-cost selector (strong-branching seeded) must still certify.
+  for (std::size_t k = 1; k <= 4; ++k) {
+    const auto family = gen::hard_integral_family(k);
+    for (const bool pseudo : {true, false}) {
+      BnpOptions options;
+      options.rounding_incumbent = false;
+      options.pseudo_cost_branching = pseudo;
+      const BnpResult result = solve(family.instance, options);
+      EXPECT_EQ(result.status, BnpStatus::Optimal) << "k=" << k;
+      EXPECT_NEAR(result.height, family.certificate.ip_height, kTol)
+          << "k=" << k << " pseudo=" << pseudo;
+      EXPECT_NEAR(result.dual_bound, result.height, kTol);
+    }
+  }
+}
+
+TEST(Bnp, NodeBudgetBitingMidSearchKeepsAValidBracket) {
+  // A node budget smaller than the tree must yield NodeLimit with a
+  // bracket that still sandwiches the true optimum when the budget bites
+  // deep in the search (budget 10). The jittered gap family keeps the
+  // truth search well above the budget.
+  const Instance ins = gen::hard_integral_jittered(5, 2, 6.0, 1001).instance;
+  BnpOptions exact;
+  exact.rounding_incumbent = false;
+  const BnpResult truth = solve(ins, exact);
+  ASSERT_EQ(truth.status, BnpStatus::Optimal);
+  ASSERT_GT(truth.nodes, 12u);  // the budget below must genuinely bite
+  BnpOptions options = exact;
+  options.budget.max_nodes = 10;
+  const BnpResult result = solve(ins, options);
+  EXPECT_EQ(result.status, BnpStatus::NodeLimit);
+  EXPECT_EQ(result.nodes, 10u);
+  EXPECT_LE(result.dual_bound, result.height + kTol);
+  EXPECT_GE(result.height, truth.height - kTol);
+  EXPECT_LE(result.dual_bound, truth.height + kTol);
+  EXPECT_TRUE(testing::placement_valid(ins, result.packing.placement));
 }
 
 // Pivots a run takes with no fault injected: an injector with an empty

@@ -102,19 +102,10 @@ TEST(Umbrella, BranchAndPrice) {
   tree.add_root(1.0);
   EXPECT_EQ(tree.pop_best(), 0);
 
-  // PR 5 scaling units: the pattern cache and the batch worker pool.
   bnp::PricingCache cache;
   const std::vector<int> counts{1, 0};
   EXPECT_EQ(cache.insert(counts, 0.4), 0);
   EXPECT_EQ(cache.size(), 1u);
-  bnp::BnpWorkerPool workers(2);
-  EXPECT_EQ(workers.threads(), 2);
-  bnp::BnpOptions batched;
-  batched.threads = 2;
-  batched.node_batch = 4;
-  const bnp::BnpResult parallel = bnp::solve(family.instance, batched);
-  EXPECT_EQ(parallel.status, bnp::BnpStatus::Optimal);
-  EXPECT_NEAR(parallel.height, result.height, 1e-6);
 
   const auto packer = make_packer("BnP");
   ASSERT_NE(packer, nullptr);
