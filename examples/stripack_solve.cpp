@@ -206,11 +206,9 @@ int main(int argc, char** argv) {
                     << result.warm_phase1_iterations << "), Farkas rounds "
                     << result.farkas_rounds << "\n"
                     << "bnp: pricing DFS expansions "
-                    << result.pricing_dfs_expansions << ", cache probes "
-                    << result.pricing_cache_probes << " (seeded "
-                    << result.pricing_cache_hits << ", exact-memo hits "
+                    << result.pricing_dfs_expansions << ", memo hits "
                     << result.pricing_memo_hits << ", patterns "
-                    << result.pricing_cache_patterns << ")\n"
+                    << result.pricing_cache_patterns << "\n"
                     << "bnp: recovery — refactor retries "
                     << result.lp_refactor_retries << ", residual repairs "
                     << result.lp_residual_repairs << ", cold restarts "

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace stripack::bnp {
 
 namespace {
@@ -46,65 +44,7 @@ int PricingCache::insert(std::span<const int> counts, double total_width) {
   return id;
 }
 
-void PricingCache::register_row(int row, release::BranchPredicate pred) {
-  STRIPACK_EXPECTS(rows_.empty() || rows_.back().row < row);
-  rows_.push_back({row, std::move(pred)});
-}
-
-int PricingCache::row_index(int row) const {
-  const auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), row,
-      [](const Row& r, int target) { return r.row < target; });
-  if (it == rows_.end() || it->row != row) return -1;
-  return static_cast<int>(it - rows_.begin());
-}
-
-void PricingCache::ensure_match_bits(Pattern& p) {
-  for (std::size_t k = p.match.size(); k < rows_.size(); ++k) {
-    const release::BranchPredicate& pred = rows_[k].pred;
-    // Predicate content decides the match; the phase filter was already
-    // applied by the caller, so any consistent phase works here.
-    const std::size_t phase =
-        pred.phase >= 0 ? static_cast<std::size_t>(pred.phase) : 0;
-    p.match.push_back(pred.matches(p.counts, phase) ? 1 : 0);
-  }
-}
-
-PricingCache::Seed PricingCache::probe(
-    std::span<const double> value,
-    std::span<const std::pair<int, double>> applied) {
-  ++probes_;
-  // Resolve applied model rows to cache indices once per probe.
-  applied_scratch_.clear();
-  for (const auto& [row, mult] : applied) {
-    STRIPACK_ASSERT(mult != 0.0, "probe against a zero-multiplier row");
-    const int k = row_index(row);
-    STRIPACK_ASSERT(k >= 0, "probe against an unregistered branch row");
-    applied_scratch_.push_back({static_cast<std::size_t>(k), mult});
-  }
-  Seed best;
-  for (std::size_t id = 0; id < patterns_.size(); ++id) {
-    Pattern& p = patterns_[id];
-    double v = 0.0;
-    for (std::size_t i = 0; i < p.counts.size(); ++i) {
-      if (p.counts[i] != 0) v += p.counts[i] * value[i];
-    }
-    if (!applied_scratch_.empty()) {
-      ensure_match_bits(p);
-      for (const auto& [k, mult] : applied_scratch_) {
-        if (p.match[k] != 0) v += mult;
-      }
-    }
-    if (v > best.value) {
-      best.value = v;
-      best.pattern = static_cast<int>(id);
-    }
-  }
-  if (best.pattern >= 0) ++hits_;
-  return best;
-}
-
-std::optional<PricingCache::Seed> PricingCache::lookup(
+std::optional<PricingCache::Result> PricingCache::lookup(
     std::span<const double> value,
     std::span<const std::pair<int, double>> applied) {
   if (memo_.empty()) return std::nullopt;
@@ -118,7 +58,7 @@ std::optional<PricingCache::Seed> PricingCache::lookup(
 
 void PricingCache::memoize(std::span<const double> value,
                            std::span<const std::pair<int, double>> applied,
-                           const Seed& result) {
+                           const Result& result) {
   if (memo_.size() >= kMemoLimit) memo_.clear();
   memo_.emplace(MemoKey{{value.begin(), value.end()},
                         {applied.begin(), applied.end()}},

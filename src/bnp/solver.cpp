@@ -325,8 +325,6 @@ void accumulate(BnpResult& result, const release::FractionalSolution& s) {
 
 void accumulate(BnpResult& result, const release::PricingStats& s) {
   result.pricing_dfs_expansions += s.dfs_expansions;
-  result.pricing_cache_probes += s.cache_probes;
-  result.pricing_cache_hits += s.cache_hits;
   result.pricing_memo_hits += s.exact_memo_hits;
   result.pricing_cache_patterns =
       std::max(result.pricing_cache_patterns, s.cache_patterns);
@@ -647,7 +645,7 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   const double rho_r = problem.releases.back();
 
   BnpOptions local = options;
-  // The pattern cache lives inside the ConfigLpSolver.
+  // The pricing memo lives inside the ConfigLpSolver.
   local.lp.use_pricing_cache =
       options.pricing_cache && local.lp.use_column_generation;
 

@@ -88,9 +88,11 @@ struct BnpOptions {
   /// Ignored; kept only because the end-to-end harness sets it. Must be
   /// >= 0; every value runs the same search on the calling thread.
   int threads = 1;
-  /// Memoized pricing: maintain a cross-node pattern cache inside the
-  /// master that warm-seeds the exact pricing DFS. Pricing stays exact;
-  /// expansions drop sharply (see `pricing_dfs_expansions`).
+  /// Memoized pricing: an exact-input memo inside the master answers
+  /// repeated pricing subproblems without a search, and widths on a
+  /// common grid get the exact DP bound (`release::ConfigLpOptions::
+  /// use_pricing_cache`). Pricing stays exact and the search unchanged;
+  /// only `pricing_dfs_expansions` drops.
   bool pricing_cache = true;
   /// Pseudo-cost branching: score fractional pair totals by observed
   /// per-unit dual-bound gains (initialized by strong branching at the
@@ -161,9 +163,11 @@ struct BnpResult {
   std::size_t nogood_prunes = 0;
   /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t propagation_prunes = 0;
-  // Memoized-pricing counters of the master.
+  // Pricing counters of the master (`release::PricingStats`).
   std::int64_t pricing_dfs_expansions = 0;
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::int64_t pricing_cache_probes = 0;
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::int64_t pricing_cache_hits = 0;
   std::int64_t pricing_memo_hits = 0;
   std::size_t pricing_cache_patterns = 0;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -200,7 +203,7 @@ double column_cost(const RowLayout& layout, std::size_t phase) {
 
 // One live branching row applying to the phase being priced, with the
 // nonzero value a matching configuration collects from it (and its model
-// row index, the pattern cache's key for memoized match bits).
+// row index, part of the exact-input memo key).
 struct AppliedBranchRow {
   const BranchPredicate* pred = nullptr;
   double mult = 0.0;
@@ -211,19 +214,32 @@ struct AppliedBranchRow {
 // When every width and the strip width sit on a common rational grid
 // (units of 1/denom), `suffix[i][c]` is the *exact* maximum raw value of
 // any configuration drawn from width classes i.. within c capacity units
-// — an unbounded-knapsack DP, O(W * cap_units) to fill. The DFS bounds a
-// subtree by current + suffix[index][units_left] + bonus_cap, which is
-// admissible (raw max dominates any achievable raw value; positive
-// branch-row bonuses top out at bonus_cap), and far tighter than the
-// fractional suffix-density bound — with a warm seed for the incumbent it
-// collapses the search to roughly the argmax path.
+// — an unbounded-knapsack DP, O(W * cap_units) to fill. The DFS uses
+// suffix[index][units_left] as its raw-value bound in place of the
+// fractional one: admissible (raw max dominates any achievable raw value)
+// and exact on the grid.
 struct DpBound {
   int cap_units = 0;
   std::vector<int> width_units;         // one per width class
   std::vector<std::vector<double>> suffix;  // [W+1][cap_units+1]
-
-  [[nodiscard]] bool valid() const { return cap_units > 0; }
 };
+
+// Nearest integer to `scaled` when it lies within 1e-7 of a nonnegative
+// one (a grid point), else nullopt. Agrees with a std::round-based test on
+// every input, without a libm call per test: truncating scaled + 0.5
+// finds the nearest integer whenever the distance test can pass, and every
+// double at or above 2^52 is an integer already.
+std::optional<double> grid_point(double scaled) {
+  if (!(scaled > -0.5)) return std::nullopt;  // negative grid point or NaN
+  if (scaled >= 0x1p52) {
+    if (scaled == std::numeric_limits<double>::infinity()) return std::nullopt;
+    return scaled;
+  }
+  const double r =
+      static_cast<double>(static_cast<std::int64_t>(scaled + 0.5));
+  if (std::fabs(scaled - r) > 1e-7) return std::nullopt;
+  return r;
+}
 
 // Smallest denominator <= 4096 putting all widths and the strip width on
 // one integer grid (0 when none). Unit-capacity feasibility then agrees
@@ -231,19 +247,16 @@ struct DpBound {
 // feasible has total units <= cap_units * (1 + 1e-9), and integer totals
 // below cap_units + 1 are <= cap_units.
 int detect_width_grid(const ConfigLpProblem& problem) {
-  const auto on_grid = [](double v, int d) {
-    const double scaled = v * d;
-    return std::fabs(scaled - std::round(scaled)) <= 1e-7 &&
-           std::round(scaled) >= 0.0;
-  };
   for (int d = 1; d <= 4096; ++d) {
-    if (!on_grid(problem.strip_width, d)) continue;
+    if (!grid_point(problem.strip_width * d)) continue;
     bool ok = true;
-    for (const double w : problem.widths) ok = ok && on_grid(w, d);
-    if (!ok) continue;
-    // Degenerate grids (a zero-unit width) would break the DP.
     for (const double w : problem.widths) {
-      ok = ok && std::round(w * d) >= 1.0;
+      // Degenerate grids (a zero-unit width) would break the DP.
+      const std::optional<double> units = grid_point(w * d);
+      if (!units || *units < 1.0) {
+        ok = false;
+        break;
+      }
     }
     if (ok) return d;
   }
@@ -283,37 +296,52 @@ void fill_dp_bound(const ConfigLpProblem& problem, int denom,
 
 // Branch-and-bound maximization over nonempty configurations of one phase:
 //   max  sum_i counts[i] * value[i] + sum_r mult_r * [pred_r matches]
-// The DFS bound adds every positive multiplier to the classic suffix
-// density bound (admissible: a configuration collects at most that), and
-// widths a positive-multiplier predicate needs are exempt from the
-// "skip non-positive values" pruning so pair/pattern bonuses stay
-// reachable. Returns the best configuration (empty when nothing beats
-// zero) and its adjusted value through `best_value_out`.
-//
-// `seed` (with its exact adjusted value `seed_value` > 0) warm-starts the
-// incumbent at seed_value - 2e-12: every subtree that cannot strictly
-// beat a known-achievable value is pruned immediately, while any pattern
-// of equal or better value still qualifies (the epsilon sits below the
-// 1e-12 improvement threshold), so the returned maximizer matches the
-// unseeded DFS's choice. If nothing improves on the seed, the exact seed
-// value is restored on output. `expansions` counts DFS recursion calls.
+// Widths are visited in table order, counts from high to low, and a
+// configuration replaces the incumbent only on a strict 1e-12
+// improvement. A subtree is cut when current value + raw bound + bonus
+// bound cannot beat the incumbent by that margin. Both bounds are
+// admissible — never below the best value in the subtree, counting the
+// configurations the count loop's +1e-9 capacity slack admits — so a cut
+// subtree never holds a strict improvement and the returned maximizer
+// does not depend on how tight the bounds are:
+// - Raw bound: the exact DP suffix optimum on a width grid; otherwise the
+//   smaller of the fractional density bound and the item-count bound (at
+//   most floor(cap_left / min_width) more items, none worth more than the
+//   best remaining value).
+// - Bonus bound, per `PairTogether` row: its multiplier when all its
+//   widths are decided and it matches (either sign); its multiplier when
+//   it is positive and still reachable (no decided width short of its
+//   copies, and the missing widths fit the remaining capacity); else 0.
+//   Positive `PhaseTotal` and `Pattern` multipliers enter as a lump.
+// Widths a positive pair/pattern bonus needs are exempt from the "skip
+// non-positive values" pruning so those bonuses stay reachable. Returns
+// the best configuration (empty when nothing beats zero) and its adjusted
+// value through `best_value_out`. `expansions` counts DFS recursion calls.
 Configuration best_config_for_phase(const ConfigLpProblem& problem,
                                     const std::vector<double>& value,
                                     std::span<const AppliedBranchRow> rows,
                                     std::size_t phase,
                                     double* best_value_out,
-                                    const Configuration* seed = nullptr,
-                                    double seed_value = 0.0,
                                     std::int64_t* expansions = nullptr,
                                     const DpBound* dp = nullptr) {
   const auto& widths = problem.widths;
-  // Suffix best density for the fractional bound.
+  // Suffix best density and best value for the fractional raw bound.
   std::vector<double> suffix_density(widths.size() + 1, 0.0);
+  std::vector<double> suffix_value(widths.size() + 1, 0.0);
   for (std::size_t i = widths.size(); i-- > 0;) {
-    suffix_density[i] =
-        std::max(suffix_density[i + 1], std::max(value[i], 0.0) / widths[i]);
+    const double v = std::max(value[i], 0.0);
+    suffix_density[i] = std::max(suffix_density[i + 1], v / widths[i]);
+    suffix_value[i] = std::max(suffix_value[i + 1], v);
   }
-  double bonus_cap = 0.0;
+  const double min_width = *std::min_element(widths.begin(), widths.end());
+  // The count loop admits c * w <= cap_left + 1e-9 * w, so a subtree
+  // overfills its capacity by at most 1e-9 of one width; doubled to absorb
+  // rounding in the `used` sums.
+  const double slack =
+      2e-9 * *std::max_element(widths.begin(), widths.end());
+
+  double lump_bonus = 0.0;
+  std::vector<const AppliedBranchRow*> pairs;
   std::vector<char> keep(widths.size(), 0);
   // Pattern matching is *non-monotone*: a penalized (negative-multiplier)
   // pattern can be escaped by ADDING an item, even one of non-positive
@@ -323,6 +351,14 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
   // them; only widths a positive pair/pattern bonus needs are exempted.
   bool penalized_pattern = false;
   for (const AppliedBranchRow& r : rows) {
+    if (r.pred->kind == BranchPredicate::Kind::PairTogether) {
+      pairs.push_back(&r);
+      if (r.mult > 0.0) {
+        keep[r.pred->width_a] = 1;
+        keep[r.pred->width_b] = 1;
+      }
+      continue;
+    }
     if (r.mult <= 0.0) {
       if (r.mult < 0.0 &&
           r.pred->kind == BranchPredicate::Kind::Pattern) {
@@ -330,19 +366,11 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
       }
       continue;
     }
-    bonus_cap += r.mult;
-    switch (r.pred->kind) {
-      case BranchPredicate::Kind::PhaseTotal:
-        break;
-      case BranchPredicate::Kind::PairTogether:
-        keep[r.pred->width_a] = 1;
-        keep[r.pred->width_b] = 1;
-        break;
-      case BranchPredicate::Kind::Pattern:
-        for (std::size_t i = 0; i < widths.size(); ++i) {
-          if (r.pred->counts[i] > 0) keep[i] = 1;
-        }
-        break;
+    lump_bonus += r.mult;
+    if (r.pred->kind == BranchPredicate::Kind::Pattern) {
+      for (std::size_t i = 0; i < widths.size(); ++i) {
+        if (r.pred->counts[i] > 0) keep[i] = 1;
+      }
     }
   }
   if (penalized_pattern) keep.assign(widths.size(), 1);
@@ -357,19 +385,48 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
   Configuration best;
   best.counts.assign(widths.size(), 0);
   double best_value = 0.0;
-  bool improved_on_seed = false;
-  if (seed != nullptr && seed_value > 0.0) {
-    best = *seed;
-    best_value = seed_value - 2e-12;
-  }
   std::vector<int> counts(widths.size(), 0);
   int total_items = 0;
 
-  // With a DpBound (memoized-pricing mode on a rational width grid) the
-  // subtree bound is the exact raw suffix optimum at the remaining unit
-  // capacity; otherwise the classic fractional suffix-density bound. Both
-  // only ever skip subtrees that cannot *strictly* improve, so the
-  // returned maximizer is identical either way.
+  // Raw-value bound for widths index.. within `cap` (`units` on the grid).
+  const auto raw_bound = [&](std::size_t index, double cap, int units) {
+    if (dp != nullptr) {
+      return dp->suffix[index][static_cast<std::size_t>(units)];
+    }
+    const double room = cap + slack;
+    return std::min(room * suffix_density[index],
+                    std::floor(room / min_width) * suffix_value[index]);
+  };
+  // Bonus bound for a subtree whose widths before `next` are decided in
+  // `counts`, with `cap` left for the rest.
+  const auto bonus_bound = [&](std::size_t next, double cap) {
+    double bonus = lump_bonus;
+    for (const AppliedBranchRow* r : pairs) {
+      const std::size_t a = r->pred->width_a;
+      const std::size_t b = r->pred->width_b;
+      if (std::max(a, b) < next) {
+        if (r->pred->matches(counts, phase)) bonus += r->mult;
+        continue;
+      }
+      if (r->mult <= 0.0) continue;
+      double missing = 0.0;
+      bool reachable = true;
+      if (a == b) {
+        missing = 2.0 * widths[a];  // both copies still to place
+      } else {
+        for (const std::size_t x : {a, b}) {
+          if (x >= next) {
+            missing += widths[x];
+          } else {
+            reachable = reachable && counts[x] >= 1;
+          }
+        }
+      }
+      if (reachable && missing <= cap + slack) bonus += r->mult;
+    }
+    return bonus;
+  };
+
   auto dfs = [&](auto&& self, std::size_t index, double used,
                  int units_left, double current) -> void {
     if (expansions != nullptr) ++*expansions;
@@ -380,16 +437,13 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
         best.counts = counts;
         best.total_width = used;
         best.total_items = total_items;
-        improved_on_seed = true;
       }
     }
     if (index == widths.size()) return;
     const double cap_left = problem.strip_width - used;
-    const double entry_bound =
-        dp != nullptr
-            ? dp->suffix[index][static_cast<std::size_t>(units_left)]
-            : cap_left * suffix_density[index];
-    if (current + entry_bound + bonus_cap <= best_value + 1e-12) {
+    if (current + raw_bound(index, cap_left, units_left) +
+            bonus_bound(index, cap_left) <=
+        best_value + 1e-12) {
       return;  // bound: cannot beat the incumbent
     }
     const int max_here =
@@ -398,22 +452,20 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
       // Skip negative-value widths — unless a positive branching bonus
       // needs them present.
       if (c > 0 && value[index] <= 0.0 && keep[index] == 0) continue;
-      // Per-count bound: updates need a strict 1e-12 improvement, so
-      // skipping subtrees bounded by best_value + 1e-12 cannot change
-      // the returned maximizer — and with a warm cache seed for
-      // best_value this skips most of the tree before ever recursing.
       const double c_value = current + c * value[index];
+      const double c_cap = cap_left - c * widths[index];
       int rem_units = units_left;
-      double c_bound;
       if (dp != nullptr) {
         rem_units = units_left - c * dp->width_units[index];
         if (rem_units < 0) continue;  // defensive: double/unit edge
-        c_bound = dp->suffix[index + 1][static_cast<std::size_t>(rem_units)];
-      } else {
-        c_bound = (cap_left - c * widths[index]) * suffix_density[index + 1];
       }
-      if (c_value + c_bound + bonus_cap <= best_value + 1e-12) continue;
+      // Per-count bound, with width `index` decided at c copies.
       counts[index] = c;
+      if (c_value + raw_bound(index + 1, c_cap, rem_units) +
+              bonus_bound(index + 1, c_cap) <=
+          best_value + 1e-12) {
+        continue;
+      }
       total_items += c;
       self(self, index + 1, used + c * widths[index], rem_units, c_value);
       total_items -= c;
@@ -421,9 +473,6 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
     counts[index] = 0;
   };
   dfs(dfs, 0, 0.0, dp != nullptr ? dp->cap_units : 0, 0.0);
-  if (seed != nullptr && seed_value > 0.0 && !improved_on_seed) {
-    best_value = seed_value;  // the -2e-12 was only a pruning device
-  }
   *best_value_out = best_value;
   return best;
 }
@@ -511,26 +560,20 @@ class KnapsackOracle final : public lp::PricingOracle {
   }
 
  private:
-  // Exact max-value configuration of one phase. With the cache: first an
-  // exact-input memo lookup (bitwise-identical subproblems skip the
-  // search entirely), then a pattern probe for a warm incumbent (an
-  // already-achievable value under the current duals and branch bonuses)
-  // that the seeded DFS verifies or beats. The DFS stays the source of
-  // truth, so pricing is exact either way.
+  // Exact max-value configuration of one phase. With the cache, an
+  // exact-input memo lookup first: bitwise-identical subproblems skip the
+  // search entirely, and every completed search is memoized.
   Configuration best_phase_config(const std::vector<double>& value,
                                   std::span<const double> multipliers,
                                   std::size_t phase, double* best_value_out) {
     const std::span<const AppliedBranchRow> rows =
         applied_rows(phase, multipliers);
-    Configuration seed_config;
-    const Configuration* seed = nullptr;
-    double seed_value = 0.0;
     if (cache_ != nullptr) {
-      probe_rows_.clear();
+      memo_rows_.clear();
       for (const AppliedBranchRow& r : rows) {
-        probe_rows_.push_back({r.row, r.mult});
+        memo_rows_.push_back({r.row, r.mult});
       }
-      if (const auto memo = cache_->lookup(value, probe_rows_)) {
+      if (const auto memo = cache_->lookup(value, memo_rows_)) {
         *best_value_out = memo->value;
         Configuration out;
         if (memo->pattern >= 0) {
@@ -542,31 +585,21 @@ class KnapsackOracle final : public lp::PricingOracle {
         }
         return out;
       }
-      const bnp::PricingCache::Seed s = cache_->probe(value, probe_rows_);
-      if (s.pattern >= 0) {
-        seed_config.counts = cache_->counts(s.pattern);
-        seed_config.total_width = cache_->total_width(s.pattern);
-        seed_config.total_items = cache_->total_items(s.pattern);
-        seed = &seed_config;
-        seed_value = s.value;
-      }
     }
     const DpBound* dp = nullptr;
     if (cache_ != nullptr && grid_denom_ > 0) {
       fill_dp_bound(problem_, grid_denom_, value, dp_scratch_);
       dp = &dp_scratch_;
     }
-    Configuration best = best_config_for_phase(problem_, value, rows, phase,
-                                               best_value_out, seed,
-                                               seed_value, &dfs_expansions_,
-                                               dp);
+    Configuration best = best_config_for_phase(
+        problem_, value, rows, phase, best_value_out, &dfs_expansions_, dp);
     if (cache_ != nullptr) {
-      bnp::PricingCache::Seed result;
+      bnp::PricingCache::Result result;
       result.value = *best_value_out;
       result.pattern = best.total_items > 0
                            ? cache_->insert(best.counts, best.total_width)
                            : -1;
-      cache_->memoize(value, probe_rows_, result);
+      cache_->memoize(value, memo_rows_, result);
     }
     return best;
   }
@@ -600,7 +633,6 @@ class KnapsackOracle final : public lp::PricingOracle {
     col.entries = column_entries(layout_, branches_, best, phase);
     col.name = std::move(name);
     out.push_back(std::move(col));
-    if (cache_ != nullptr) cache_->insert(best.counts, best.total_width);
     table_.add(static_cast<int>(table_.configs.size()), phase);
     table_.configs.push_back(std::move(best));
   }
@@ -613,7 +645,7 @@ class KnapsackOracle final : public lp::PricingOracle {
   int grid_denom_ = 0;  // common width grid for the DP bound (0: none)
   DpBound dp_scratch_;
   std::vector<AppliedBranchRow> applied_;   // scratch
-  std::vector<std::pair<int, double>> probe_rows_;  // scratch
+  std::vector<std::pair<int, double>> memo_rows_;  // scratch
   std::int64_t dfs_expansions_ = 0;
 };
 
@@ -920,7 +952,6 @@ FractionalSolution ConfigLpSolver::solve() {
     q.counts[i] = 1;
     q.total_width = problem.widths[i];
     q.total_items = 1;
-    if (s.cache != nullptr) s.cache->insert(q.counts, q.total_width);
     s.table.configs.push_back(std::move(q));
   }
   for (std::size_t j = 0; j < s.layout.num_phases; ++j) {
@@ -1077,7 +1108,6 @@ int ConfigLpSolver::add_branch_row(BranchPredicate pred, lp::Sense sense,
   const int row = s.model.add_row_with_entries(
       sense, rhs, entries,
       "br[" + std::to_string(s.branch_rows.size()) + "]");
-  if (s.cache != nullptr) s.cache->register_row(row, pred);
   s.branch_rows.push_back({std::move(pred), row, sense});
   return row;
 }
@@ -1163,8 +1193,6 @@ PricingStats ConfigLpSolver::pricing_stats() const {
     stats.dfs_expansions = s.oracle->dfs_expansions();
   }
   if (s.cache != nullptr) {
-    stats.cache_probes = s.cache->probes();
-    stats.cache_hits = s.cache->hits();
     stats.exact_memo_hits = s.cache->memo_hits();
     stats.cache_patterns = s.cache->size();
   }

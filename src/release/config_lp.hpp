@@ -123,13 +123,12 @@ struct FractionalSolution {
 
 /// Pricing-side counters of a `ConfigLpSolver` (cumulative since
 /// construction). `dfs_expansions` counts calls into the exact pricing
-/// DFS's recursion — the quantity the pattern cache exists to shrink.
+/// DFS's recursion — the work its subtree bounds and the memo cut.
 struct PricingStats {
   std::int64_t dfs_expansions = 0;
-  std::int64_t cache_probes = 0;
-  std::int64_t cache_hits = 0;
   /// Exact-input memo hits: pricing searches skipped outright.
   std::int64_t exact_memo_hits = 0;
+  /// Patterns the memo's results point at.
   std::size_t cache_patterns = 0;
 };
 
@@ -140,13 +139,12 @@ struct ConfigLpOptions {
   /// Entering-variable rule for the underlying simplex: Dantzig (the
   /// default) or Bland.
   lp::PricingRule pricing = lp::PricingRule::Dantzig;
-  /// Memoized pricing (column-generation mode): intern every pattern the
-  /// oracle emits or adopts into a `bnp::PricingCache` and, before each
-  /// exact pricing DFS, probe the cache for a warm incumbent — unchanged
-  /// subproblems become lookups plus a verification pass instead of a
-  /// from-scratch re-enumeration, and branch-row bonuses apply as deltas
-  /// on the cached entries. The DFS keeps the last word, so pricing
-  /// stays exact; the seed only strengthens its pruning bound.
+  /// Memoized pricing (column-generation mode): record every completed
+  /// pricing search in a `bnp::PricingCache` under its exact input, so a
+  /// bitwise-repeated subproblem is answered without a search, and bound
+  /// the DFS by an exact knapsack DP when the widths sit on a common grid
+  /// (denominator <= 4096). The DFS returns the same maximizer either
+  /// way, so pricing stays exact.
   bool use_pricing_cache = false;
   /// LP backend (lp/backend.hpp registry name) solving the master:
   /// "simplex" (the production eta-file engine, default), "dense" (the
@@ -282,7 +280,7 @@ class ConfigLpSolver {
   /// full master, never just the restricted one.
   [[nodiscard]] FractionalSolution resolve();
 
-  /// Cumulative pricing counters (DFS expansions, cache probes/hits).
+  /// Cumulative pricing counters (DFS expansions, memo hits, patterns).
   [[nodiscard]] PricingStats pricing_stats() const;
 
   /// True once `solve()` has run — the gate for every re-solver above and

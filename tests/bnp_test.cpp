@@ -397,14 +397,15 @@ TEST(Bnp, ThreadsLeaveTheSearchUnchanged) {
 }
 
 TEST(Bnp, PricingCacheKeepsCertifiedQuantities) {
-  // Memoized pricing only seeds the exact DFS and skips repeated
-  // searches (keyed by the live, nonzero-multiplier branch rows), so
-  // every pricing round returns the same columns: status, height, dual
-  // bound and the whole search — nodes, children and LP pivots — must
-  // match the uncached run on the sweep, while the DFS expansion count
-  // drops.
+  // Memoized pricing only skips repeated searches (keyed by the live,
+  // nonzero-multiplier branch rows) and bounds the DFS by the exact grid
+  // DP, so every pricing round returns the same columns: status, height,
+  // dual bound and the whole search — nodes, children and LP pivots —
+  // must match the uncached run on the sweep, while the DFS expansion
+  // count drops.
   std::int64_t cached_expansions = 0;
   std::int64_t uncached_expansions = 0;
+  std::int64_t memo_hits = 0;
   for (const Instance& ins : branching_sweep()) {
     BnpOptions with_cache;
     with_cache.rounding_incumbent = false;
@@ -420,13 +421,48 @@ TEST(Bnp, PricingCacheKeepsCertifiedQuantities) {
     EXPECT_EQ(a.lp_iterations, b.lp_iterations);
     cached_expansions += a.pricing_dfs_expansions;
     uncached_expansions += b.pricing_dfs_expansions;
-    EXPECT_GT(a.pricing_cache_probes, 0) << "cache never probed";
+    memo_hits += a.pricing_memo_hits;
   }
   EXPECT_GT(uncached_expansions, 0);
+  EXPECT_GT(memo_hits, 0) << "memo never hit";
   // The committed target: >= 30% fewer DFS expansions with memoized
   // pricing on.
   EXPECT_LT(static_cast<double>(cached_expansions),
             0.7 * static_cast<double>(uncached_expansions));
+}
+
+TEST(Bnp, PricingBoundsCutDfsExpansions) {
+  // The pricing DFS's subtree bounds (exact per-row branch bonuses and
+  // the item-count cap on the fractional bound) are admissible, so they
+  // cut expansions without changing a single priced column: the search
+  // matches the uncached one node for node and pivot for pivot. These
+  // jittered widths sit on no grid, so the DP bound never applies; the
+  // lump-bonus density bound spent 95544 and 218721 expansions here.
+  struct Case {
+    gen::HardIntegralInstance family;
+    double height;
+    std::int64_t lump_bound_expansions;
+  };
+  const Case cases[] = {
+      {gen::hard_integral_jittered(4, 2, 5.0, 5), 10.0, 95544},
+      {gen::hard_integral_jittered(5, 2, 6.0, 1), 12.0, 218721},
+  };
+  for (const Case& c : cases) {
+    const std::string label =
+        std::to_string(c.family.certificate.n) + " items";
+    const BnpResult r = solve(c.family.instance);
+    ASSERT_EQ(r.status, BnpStatus::Optimal) << label;
+    EXPECT_EQ(r.height, c.height) << label;
+    EXPECT_EQ(r.dual_bound, c.height) << label;
+    EXPECT_LT(r.pricing_dfs_expansions, c.lump_bound_expansions / 10)
+        << label;
+    BnpOptions uncached;
+    uncached.pricing_cache = false;
+    const BnpResult u = solve(c.family.instance, uncached);
+    EXPECT_EQ(r.nodes, u.nodes) << label;
+    EXPECT_EQ(r.nodes_created, u.nodes_created) << label;
+    EXPECT_EQ(r.lp_iterations, u.lp_iterations) << label;
+  }
 }
 
 TEST(Bnp, PseudoCostBranchingStaysExactOnGapFamilies) {

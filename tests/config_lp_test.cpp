@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/bounds.hpp"
 #include "gen/release_gen.hpp"
@@ -454,8 +457,8 @@ TEST(ConfigLpSolver, PenalizedPatternPricingStaysExact) {
 }
 
 TEST(ConfigLpSolver, ParkedBranchRowsLeavePricingExact) {
-  // Pricing hands the DFS, the memo key and the cache probe only the
-  // branch rows whose multiplier is nonzero. Differential sweep: park many
+  // Pricing hands the DFS and the memo key only the branch rows whose
+  // multiplier is nonzero. Differential sweep: park many
   // Pattern and PairTogether rows (zero multipliers at the optimum), keep
   // one live GE pair row and one live LE pattern row, and check colgen
   // against enumeration, with and without the pricing cache.
@@ -562,6 +565,98 @@ TEST(ConfigLpSolver, ParkedBranchRowsLeavePricingExact) {
       }
     }
   }
+}
+
+TEST(ConfigLpSolver, OffGridPairRowsKeepPricingExact) {
+  // Basis-point widths ending in 1 or 3 sit on no grid of denominator
+  // <= 4096, so pricing runs the DFS on its fractional and item-count
+  // bounds, with the per-row bonus bound. Several live pair rows in both
+  // senses (GE rows above the current cover collect positive multipliers,
+  // LE rows at 0 negative ones), on the pairs that fill the strip most,
+  // must leave colgen equal to enumeration, with and without the cache.
+  struct Pool {
+    int lo, hi;  // width range in tens of basis points
+  };
+  const Pool pools[] = {{334, 499}, {150, 599}};  // [0.3334, 0.5], mixed
+  int moved_ge = 0;
+  int moved_le = 0;
+  for (const Pool& pool : pools) {
+    for (const std::uint64_t seed : {4u, 9u, 17u, 28u}) {
+      Rng rng(seed);
+      Instance ins;
+      const std::size_t n = 7 + seed % 4;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto bp = 10 * rng.uniform_int(pool.lo, pool.hi) +
+                        (rng.bernoulli(0.5) ? 1 : 3);
+        ins.add_item(static_cast<double>(bp) / 10000.0,
+                     static_cast<double>(rng.uniform_int(1, 2)),
+                     static_cast<double>(rng.uniform_int(0, 1)));
+      }
+      const auto problem = make_problem(ins);
+      const std::size_t widths = problem.widths.size();
+      // Pairs that fit, fullest first.
+      std::vector<std::pair<std::size_t, std::size_t>> pairs;
+      for (std::size_t a = 0; a < widths; ++a) {
+        for (std::size_t b = a; b < widths; ++b) {
+          if (problem.widths[a] + problem.widths[b] <= problem.strip_width) {
+            pairs.emplace_back(a, b);
+          }
+        }
+      }
+      const auto fill = [&](const std::pair<std::size_t, std::size_t>& p) {
+        return problem.widths[p.first] + problem.widths[p.second];
+      };
+      std::stable_sort(pairs.begin(), pairs.end(),
+                       [&](const auto& x, const auto& y) {
+                         return fill(x) > fill(y);
+                       });
+      pairs.resize(std::min<std::size_t>(pairs.size(), 6));
+      ASSERT_GE(pairs.size(), 4u) << "seed=" << seed;
+      for (const bool cache : {false, true}) {
+        const std::string label = "lo=" + std::to_string(pool.lo) +
+                                  " seed=" + std::to_string(seed) +
+                                  " cache=" + std::to_string(cache);
+        ConfigLpOptions colgen_options;
+        colgen_options.use_column_generation = true;
+        colgen_options.use_pricing_cache = cache;
+        ConfigLpSolver cg(problem, colgen_options);
+        ConfigLpSolver full(problem);
+        ASSERT_TRUE(cg.solve().feasible) << label;
+        FractionalSolution truth = full.solve();
+        ASSERT_TRUE(truth.feasible) << label;
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          BranchPredicate pred;
+          pred.kind = BranchPredicate::Kind::PairTogether;
+          pred.width_a = pairs[k].first;
+          pred.width_b = pairs[k].second;
+          const bool ge = k % 2 == 0;
+          double rhs = 0.0;
+          if (ge) {
+            for (const Slice& s : truth.slices) {
+              if (pred.matches(s.config.counts, s.phase)) rhs += s.height;
+            }
+            rhs += 1.0;
+          }
+          const lp::Sense sense = ge ? lp::Sense::GE : lp::Sense::LE;
+          cg.add_branch_row(pred, sense, rhs);
+          full.add_branch_row(pred, sense, rhs);
+          const double before = truth.objective;
+          const auto priced = cg.resolve();
+          truth = full.resolve();
+          ASSERT_EQ(priced.status, truth.status) << label << " row " << k;
+          ASSERT_TRUE(truth.feasible) << label << " row " << k;
+          EXPECT_NEAR(priced.objective, truth.objective,
+                      1e-6 * (1.0 + truth.objective))
+              << label << " row " << k;
+          verify_fractional(problem, priced);
+          if (truth.objective > before + 1e-6) ++(ge ? moved_ge : moved_le);
+        }
+      }
+    }
+  }
+  // Both senses must actually bind somewhere in the sweep.
+  EXPECT_GT(moved_ge, 0);
+  EXPECT_GT(moved_le, 0);
 }
 
 TEST(ConfigLpSolver, PairBranchRowsSteerBothDirectionsWarm) {
