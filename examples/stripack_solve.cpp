@@ -15,8 +15,8 @@
 // [dual_bound, height] bracket; negative values are a usage error).
 // `--backend` picks the master LP's registered `lp::LpBackend` (see
 // lp/backend.hpp); a master that fails numerically on it still fails over
-// to the dense backend. `--verbose` prints the solver's node,
-// pricing-cache and numerical-recovery diagnostics.
+// to the dense backend. `--verbose` prints the solver's node, pricing
+// and numerical-recovery diagnostics.
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -48,7 +48,7 @@ int usage() {
     std::cerr << (first ? "" : " | ") << name;
     first = false;
   }
-  std::cerr << ");\n--verbose prints node / pricing-cache / recovery "
+  std::cerr << ");\n--verbose prints node / pricing / recovery "
                "diagnostics\n";
   return 2;
 }
@@ -206,9 +206,7 @@ int main(int argc, char** argv) {
                     << result.warm_phase1_iterations << "), Farkas rounds "
                     << result.farkas_rounds << "\n"
                     << "bnp: pricing DFS expansions "
-                    << result.pricing_dfs_expansions << ", memo hits "
-                    << result.pricing_memo_hits << ", patterns "
-                    << result.pricing_cache_patterns << "\n"
+                    << result.pricing_dfs_expansions << "\n"
                     << "bnp: recovery — refactor retries "
                     << result.lp_refactor_retries << ", residual repairs "
                     << result.lp_residual_repairs << ", cold restarts "

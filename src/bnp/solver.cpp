@@ -325,9 +325,6 @@ void accumulate(BnpResult& result, const release::FractionalSolution& s) {
 
 void accumulate(BnpResult& result, const release::PricingStats& s) {
   result.pricing_dfs_expansions += s.dfs_expansions;
-  result.pricing_memo_hits += s.exact_memo_hits;
-  result.pricing_cache_patterns =
-      std::max(result.pricing_cache_patterns, s.cache_patterns);
 }
 
 // The whole search state threaded through the root handling and the node
@@ -628,8 +625,8 @@ void run_search(Search& search, const lp::StopToken& stop) {
 
 // Shared implementation of `solve` (master == nullptr: build and own a
 // fresh master) and `solve_warm` (master points at a caller-owned
-// persistent master whose column pool / branch rows / pricing cache are
-// reused across requests).
+// persistent master whose column pool / branch rows are reused across
+// requests).
 BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
                      release::ConfigLpSolver* master) {
   instance.check_well_formed();
@@ -645,9 +642,6 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   const double rho_r = problem.releases.back();
 
   BnpOptions local = options;
-  // The pricing memo lives inside the ConfigLpSolver.
-  local.lp.use_pricing_cache =
-      options.pricing_cache && local.lp.use_column_generation;
 
   // Anytime deadline: the budget becomes the stop token's deadline (next
   // to the caller's own flag), and the token is threaded into every LP

@@ -88,11 +88,8 @@ struct BnpOptions {
   /// Ignored; kept only because the end-to-end harness sets it. Must be
   /// >= 0; every value runs the same search on the calling thread.
   int threads = 1;
-  /// Memoized pricing: an exact-input memo inside the master answers
-  /// repeated pricing subproblems without a search, and widths on a
-  /// common grid get the exact DP bound (`release::ConfigLpOptions::
-  /// use_pricing_cache`). Pricing stays exact and the search unchanged;
-  /// only `pricing_dfs_expansions` drops.
+  /// Ignored; kept only because the end-to-end harness sets it. Pricing
+  /// is one stateless exact DFS at every value.
   bool pricing_cache = true;
   /// Pseudo-cost branching: score fractional pair totals by observed
   /// per-unit dual-bound gains (initialized by strong branching at the
@@ -169,8 +166,8 @@ struct BnpResult {
   std::int64_t pricing_cache_probes = 0;
   /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::int64_t pricing_cache_hits = 0;
+  /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::int64_t pricing_memo_hits = 0;
-  std::size_t pricing_cache_patterns = 0;
 };
 
 /// One node's LP verdict (`solve_node`).
@@ -211,14 +208,13 @@ struct NodeEvaluation {
 /// asserted); the caller mutates its `ConfigLpProblem::demand` in place
 /// between requests and this entry re-binds the demand rows
 /// (`ConfigLpSolver::rebind_demand`) and dual re-solves the root warm
-/// from the previous request's basis, reusing the whole column pool,
-/// materialized branch rows (deduplicated by predicate, re-parked
-/// per request) and pricing-cache entries. On a never-solved master the
-/// first request performs the cold solve. `options.lp` is ignored in
-/// favor of the master's own configuration, except that the anytime stop
-/// token (the caller's flag plus this call's deadline) is installed via
-/// `ConfigLpSolver::set_stop` for the duration of the call. Same anytime
-/// contract as `solve`.
+/// from the previous request's basis, reusing the whole column pool and
+/// the materialized branch rows (deduplicated by predicate, re-parked
+/// per request). On a never-solved master the first request performs the
+/// cold solve. `options.lp` is ignored in favor of the master's own
+/// configuration, except that the anytime stop token (the caller's flag
+/// plus this call's deadline) is installed via `ConfigLpSolver::set_stop`
+/// for the duration of the call. Same anytime contract as `solve`.
 [[nodiscard]] BnpResult solve_warm(const Instance& instance,
                                    const BnpOptions& options,
                                    release::ConfigLpSolver& master);

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bnp/pricing_cache.hpp"
 #include "lp/backend.hpp"
 #include "lp/colgen.hpp"
 #include "lp/simplex.hpp"
@@ -202,15 +201,13 @@ double column_cost(const RowLayout& layout, std::size_t phase) {
 }
 
 // One live branching row applying to the phase being priced, with the
-// nonzero value a matching configuration collects from it (and its model
-// row index, part of the exact-input memo key).
+// nonzero value a matching configuration collects from it.
 struct AppliedBranchRow {
   const BranchPredicate* pred = nullptr;
   double mult = 0.0;
-  int row = 0;
 };
 
-// Width-indexed DP bound for the pricing DFS (memoized-pricing mode).
+// Width-indexed DP bound for the pricing DFS (column-generation mode).
 // When every width and the strip width sit on a common rational grid
 // (units of 1/denom), `suffix[i][c]` is the *exact* maximum raw value of
 // any configuration drawn from width classes i.. within c capacity units
@@ -486,14 +483,12 @@ Configuration best_config_for_phase(const ConfigLpProblem& problem,
 class KnapsackOracle final : public lp::PricingOracle {
  public:
   KnapsackOracle(const ConfigLpProblem& problem, const RowLayout& layout,
-                 ColumnTable& table, const std::vector<BranchRow>& branches,
-                 bnp::PricingCache* cache, int grid_denom)
+                 ColumnTable& table, const std::vector<BranchRow>& branches)
       : problem_(problem),
         layout_(layout),
         table_(table),
         branches_(branches),
-        cache_(cache),
-        grid_denom_(grid_denom) {}
+        grid_denom_(detect_width_grid(problem)) {}
 
   std::vector<lp::PricedColumn> price(std::span<const double> duals,
                                       double tol) override {
@@ -560,57 +555,28 @@ class KnapsackOracle final : public lp::PricingOracle {
   }
 
  private:
-  // Exact max-value configuration of one phase. With the cache, an
-  // exact-input memo lookup first: bitwise-identical subproblems skip the
-  // search entirely, and every completed search is memoized.
+  // Exact max-value configuration of one phase, bounded by the DP when
+  // the widths sit on a common grid.
   Configuration best_phase_config(const std::vector<double>& value,
                                   std::span<const double> multipliers,
                                   std::size_t phase, double* best_value_out) {
     const std::span<const AppliedBranchRow> rows =
         applied_rows(phase, multipliers);
-    if (cache_ != nullptr) {
-      memo_rows_.clear();
-      for (const AppliedBranchRow& r : rows) {
-        memo_rows_.push_back({r.row, r.mult});
-      }
-      if (const auto memo = cache_->lookup(value, memo_rows_)) {
-        *best_value_out = memo->value;
-        Configuration out;
-        if (memo->pattern >= 0) {
-          out.counts = cache_->counts(memo->pattern);
-          out.total_width = cache_->total_width(memo->pattern);
-          out.total_items = cache_->total_items(memo->pattern);
-        } else {
-          out.counts.assign(value.size(), 0);
-        }
-        return out;
-      }
-    }
     const DpBound* dp = nullptr;
-    if (cache_ != nullptr && grid_denom_ > 0) {
+    if (grid_denom_ > 0) {
       fill_dp_bound(problem_, grid_denom_, value, dp_scratch_);
       dp = &dp_scratch_;
     }
-    Configuration best = best_config_for_phase(
-        problem_, value, rows, phase, best_value_out, &dfs_expansions_, dp);
-    if (cache_ != nullptr) {
-      bnp::PricingCache::Result result;
-      result.value = *best_value_out;
-      result.pattern = best.total_items > 0
-                           ? cache_->insert(best.counts, best.total_width)
-                           : -1;
-      cache_->memoize(value, memo_rows_, result);
-    }
-    return best;
+    return best_config_for_phase(problem_, value, rows, phase, best_value_out,
+                                 &dfs_expansions_, dp);
   }
 
   // The branch rows of `phase` whose multiplier is nonzero. A zero
   // multiplier (a parked or non-binding row) adds +0.0 to every adjusted
   // value and is already ignored by the DFS's bonus bound and pruning
   // exemptions, so dropping it leaves the search exact while sparing the
-  // per-expansion predicate test and shrinking the memo key. Emitted
-  // columns still get coefficients on every row (`column_entries` walks
-  // the full `branches_`).
+  // per-expansion predicate test. Emitted columns still get coefficients
+  // on every row (`column_entries` walks the full `branches_`).
   std::span<const AppliedBranchRow> applied_rows(
       std::size_t phase, std::span<const double> multipliers) {
     applied_.clear();
@@ -621,7 +587,7 @@ class KnapsackOracle final : public lp::PricingOracle {
       }
       const double mult = multipliers[static_cast<std::size_t>(br.row)];
       if (mult == 0.0) continue;
-      applied_.push_back({&br.pred, mult, br.row});
+      applied_.push_back({&br.pred, mult});
     }
     return applied_;
   }
@@ -641,11 +607,9 @@ class KnapsackOracle final : public lp::PricingOracle {
   const RowLayout& layout_;  // shared with the solver: sees cap-row updates
   ColumnTable& table_;
   const std::vector<BranchRow>& branches_;  // shared: sees added rows
-  bnp::PricingCache* cache_ = nullptr;      // owned by the solver state
   int grid_denom_ = 0;  // common width grid for the DP bound (0: none)
   DpBound dp_scratch_;
   std::vector<AppliedBranchRow> applied_;   // scratch
-  std::vector<std::pair<int, double>> memo_rows_;  // scratch
   std::int64_t dfs_expansions_ = 0;
 };
 
@@ -691,10 +655,6 @@ struct ConfigLpSolver::State {
     }
     model = build_rows(problem, layout);
     add_surplus_columns(model, layout, table);
-    if (options.use_pricing_cache && options.use_column_generation) {
-      cache = std::make_unique<bnp::PricingCache>();
-      grid_denom = detect_width_grid(problem);
-    }
     // Neutral rhs for deactivated LE branch rows: above the trivial
     // integral solution (stack everything in phase R, each demand
     // rounded up — the ceilings keep the bound valid for fractional
@@ -720,9 +680,6 @@ struct ConfigLpSolver::State {
   /// Registry name of the backend actually solving the master: the
   /// configured `options.backend`, or "dense" after a rung-3 failover.
   std::string backend_name;
-  std::unique_ptr<bnp::PricingCache> cache;  // memoized pricing (colgen)
-  /// Common width grid for the pricing DP bound (0: none); computed once.
-  int grid_denom = 0;
   std::unique_ptr<KnapsackOracle> oracle;  // column-generation mode only
   std::unique_ptr<lp::LpBackend> engine;   // see backend_name
   bool solved = false;
@@ -963,8 +920,7 @@ FractionalSolution ConfigLpSolver::solve() {
     }
   }
   s.oracle = std::make_unique<KnapsackOracle>(problem, s.layout, s.table,
-                                              s.branch_rows, s.cache.get(),
-                                              s.grid_denom);
+                                              s.branch_rows);
   s.engine = lp::make_lp_backend(s.backend_name, s.model, s.simplex_options);
   s.reset_recovery();
   // Cold column-generation run with the backend-failover barrier: a master
@@ -1191,10 +1147,6 @@ PricingStats ConfigLpSolver::pricing_stats() const {
   PricingStats stats;
   if (s.oracle != nullptr) {
     stats.dfs_expansions = s.oracle->dfs_expansions();
-  }
-  if (s.cache != nullptr) {
-    stats.exact_memo_hits = s.cache->memo_hits();
-    stats.cache_patterns = s.cache->size();
   }
   return stats;
 }

@@ -47,10 +47,6 @@
 #include "lp/simplex.hpp"
 #include "release/configurations.hpp"
 
-namespace stripack::bnp {
-class PricingCache;  // bnp/pricing_cache.hpp (owned by ConfigLpSolver)
-}  // namespace stripack::bnp
-
 namespace stripack::release {
 
 /// The data the LP is built from.
@@ -123,13 +119,9 @@ struct FractionalSolution {
 
 /// Pricing-side counters of a `ConfigLpSolver` (cumulative since
 /// construction). `dfs_expansions` counts calls into the exact pricing
-/// DFS's recursion — the work its subtree bounds and the memo cut.
+/// DFS's recursion — the work its subtree bounds cut.
 struct PricingStats {
   std::int64_t dfs_expansions = 0;
-  /// Exact-input memo hits: pricing searches skipped outright.
-  std::int64_t exact_memo_hits = 0;
-  /// Patterns the memo's results point at.
-  std::size_t cache_patterns = 0;
 };
 
 struct ConfigLpOptions {
@@ -139,12 +131,9 @@ struct ConfigLpOptions {
   /// Entering-variable rule for the underlying simplex: Dantzig (the
   /// default) or Bland.
   lp::PricingRule pricing = lp::PricingRule::Dantzig;
-  /// Memoized pricing (column-generation mode): record every completed
-  /// pricing search in a `bnp::PricingCache` under its exact input, so a
-  /// bitwise-repeated subproblem is answered without a search, and bound
-  /// the DFS by an exact knapsack DP when the widths sit on a common grid
-  /// (denominator <= 4096). The DFS returns the same maximizer either
-  /// way, so pricing stays exact.
+  /// Ignored; kept only because the end-to-end harness sets it. Pricing
+  /// is one stateless DFS, bounded by an exact knapsack DP whenever the
+  /// widths sit on a common grid (denominator <= 4096).
   bool use_pricing_cache = false;
   /// LP backend (lp/backend.hpp registry name) solving the master:
   /// "simplex" (the production eta-file engine, default), "dense" (the
@@ -280,7 +269,7 @@ class ConfigLpSolver {
   /// full master, never just the restricted one.
   [[nodiscard]] FractionalSolution resolve();
 
-  /// Cumulative pricing counters (DFS expansions, memo hits, patterns).
+  /// Cumulative pricing counters (DFS expansions).
   [[nodiscard]] PricingStats pricing_stats() const;
 
   /// True once `solve()` has run — the gate for every re-solver above and
@@ -311,8 +300,8 @@ class ConfigLpSolver {
   /// a master whose problem kept its widths, releases and strip width but
   /// changed `demand` in place re-solves warm: an rhs-only change keeps
   /// the retained basis dual feasible and the next `resolve()` runs
-  /// without phase 1, reusing the entire column pool, branch rows and
-  /// pricing cache. Requires a prior `solve()`; widths/releases/
+  /// without phase 1, reusing the entire column pool and branch rows.
+  /// Requires a prior `solve()`; widths/releases/
   /// strip_width must be unchanged (the request-class signature
   /// guarantees this — asserted here).
   void rebind_demand();

@@ -178,11 +178,7 @@ void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
       if (cls.problem == nullptr) {
         cls.problem = std::make_unique<release::ConfigLpProblem>(
             release::make_problem(p.request.instance));
-        // Mirror bnp::solve's solver construction (solve_warm skips it):
-        // the pricing memo lives inside the master.
-        release::ConfigLpOptions lp = opts.lp;
-        lp.use_pricing_cache = opts.pricing_cache && lp.use_column_generation;
-        cls.master.emplace(*cls.problem, lp);
+        cls.master.emplace(*cls.problem, opts.lp);
       } else {
         cls.problem->demand = release::make_problem(p.request.instance).demand;
       }

@@ -10,9 +10,9 @@
 // canonical widths + releases). Each class owns one persistent warm
 // `release::ConfigLpSolver` master: consecutive requests re-bind the
 // demand row right-hand sides in place and dual re-solve from the
-// previous request's basis, reusing the column pool, materialized branch
-// rows and pricing-cache entries across requests — the cross-request
-// amortization the per-call `bnp::solve` cold start leaves on the table.
+// previous request's basis, reusing the column pool and materialized
+// branch rows across requests — the cross-request amortization the
+// per-call `bnp::solve` cold start leaves on the table.
 //
 // Admission control: a request enqueued behind a deep in-class backlog is
 // admitted *degraded* — its node budget drops so the anytime contract of

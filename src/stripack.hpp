@@ -20,7 +20,6 @@
 #include "binpack/binpack.hpp"             // IWYU pragma: export
 #include "binpack/precedence_binpack.hpp"  // IWYU pragma: export
 #include "bnp/node_tree.hpp"               // IWYU pragma: export
-#include "bnp/pricing_cache.hpp"           // IWYU pragma: export
 #include "bnp/solver.hpp"                  // IWYU pragma: export
 #include "core/bounds.hpp"                 // IWYU pragma: export
 #include "core/instance.hpp"               // IWYU pragma: export

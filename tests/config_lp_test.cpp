@@ -457,11 +457,11 @@ TEST(ConfigLpSolver, PenalizedPatternPricingStaysExact) {
 }
 
 TEST(ConfigLpSolver, ParkedBranchRowsLeavePricingExact) {
-  // Pricing hands the DFS and the memo key only the branch rows whose
-  // multiplier is nonzero. Differential sweep: park many
-  // Pattern and PairTogether rows (zero multipliers at the optimum), keep
-  // one live GE pair row and one live LE pattern row, and check colgen
-  // against enumeration, with and without the pricing cache.
+  // Pricing hands the DFS only the branch rows whose multiplier is
+  // nonzero. Differential sweep: park many Pattern and PairTogether rows
+  // (zero multipliers at the optimum), keep one live GE pair row and one
+  // live LE pattern row, and check colgen against enumeration. The widths
+  // sit on a grid (denominator 20), so the DP bound prices every round.
   for (const std::uint64_t seed : {3u, 8u, 15u, 22u, 33u}) {
     Rng rng(seed);
     const double width_pool[] = {0.45, 0.4, 0.3, 0.25, 0.2, 0.15};
@@ -475,93 +475,89 @@ TEST(ConfigLpSolver, ParkedBranchRowsLeavePricingExact) {
     const auto problem = make_problem(ins);
     const std::size_t widths = problem.widths.size();
     const std::size_t phases = problem.releases.size();
-    for (const bool cache : {false, true}) {
-      ConfigLpOptions colgen_options;
-      colgen_options.use_column_generation = true;
-      colgen_options.use_pricing_cache = cache;
-      ConfigLpSolver cg(problem, colgen_options);
-      const auto cg_base = cg.solve();
-      ASSERT_TRUE(cg_base.feasible);
-      ConfigLpSolver full(problem);
-      ASSERT_TRUE(full.solve().feasible);
-      const auto add_both = [&](const BranchPredicate& pred, lp::Sense sense,
-                                double rhs) {
-        return std::pair{cg.add_branch_row(pred, sense, rhs),
-                         full.add_branch_row(pred, sense, rhs)};
-      };
+    ConfigLpOptions colgen_options;
+    colgen_options.use_column_generation = true;
+    ConfigLpSolver cg(problem, colgen_options);
+    const auto cg_base = cg.solve();
+    ASSERT_TRUE(cg_base.feasible);
+    ConfigLpSolver full(problem);
+    ASSERT_TRUE(full.solve().feasible);
+    const auto add_both = [&](const BranchPredicate& pred, lp::Sense sense,
+                              double rhs) {
+      return std::pair{cg.add_branch_row(pred, sense, rhs),
+                       full.add_branch_row(pred, sense, rhs)};
+    };
 
-      // Parked rows: every support pattern, and every pair in every phase.
-      std::vector<std::pair<int, int>> parked;
-      for (const Slice& s : cg_base.slices) {
-        BranchPredicate pattern;
-        pattern.kind = BranchPredicate::Kind::Pattern;
-        pattern.phase = static_cast<int>(s.phase);
-        pattern.counts = s.config.counts;
-        parked.push_back(add_both(pattern, lp::Sense::LE, 0.0));
-      }
-      for (std::size_t j = 0; j < phases; ++j) {
-        for (std::size_t a = 0; a < widths; ++a) {
-          for (std::size_t b = a; b < widths; ++b) {
-            BranchPredicate pair;
-            pair.kind = BranchPredicate::Kind::PairTogether;
-            pair.phase = static_cast<int>(j);
-            pair.width_a = a;
-            pair.width_b = b;
-            parked.push_back(add_both(pair, lp::Sense::GE, 1.0));
-          }
-        }
-      }
-      for (const auto& [cg_row, full_row] : parked) {
-        cg.deactivate_branch_row(cg_row);
-        full.deactivate_branch_row(full_row);
-      }
-
-      // Live GE row: the fitting pair the base solution covers least.
-      BranchPredicate live_pair;
-      live_pair.kind = BranchPredicate::Kind::PairTogether;
-      double least = std::numeric_limits<double>::infinity();
+    // Parked rows: every support pattern, and every pair in every phase.
+    std::vector<std::pair<int, int>> parked;
+    for (const Slice& s : cg_base.slices) {
+      BranchPredicate pattern;
+      pattern.kind = BranchPredicate::Kind::Pattern;
+      pattern.phase = static_cast<int>(s.phase);
+      pattern.counts = s.config.counts;
+      parked.push_back(add_both(pattern, lp::Sense::LE, 0.0));
+    }
+    for (std::size_t j = 0; j < phases; ++j) {
       for (std::size_t a = 0; a < widths; ++a) {
-        for (std::size_t b = a + 1; b < widths; ++b) {
-          if (problem.widths[a] + problem.widths[b] > problem.strip_width) {
-            continue;
-          }
-          double covered = 0.0;
-          for (const Slice& s : cg_base.slices) {
-            if (s.config.counts[a] > 0 && s.config.counts[b] > 0) {
-              covered += s.height;
-            }
-          }
-          if (covered < least) {
-            least = covered;
-            live_pair.width_a = a;
-            live_pair.width_b = b;
-          }
+        for (std::size_t b = a; b < widths; ++b) {
+          BranchPredicate pair;
+          pair.kind = BranchPredicate::Kind::PairTogether;
+          pair.phase = static_cast<int>(j);
+          pair.width_a = a;
+          pair.width_b = b;
+          parked.push_back(add_both(pair, lp::Sense::GE, 1.0));
         }
       }
-      add_both(live_pair, lp::Sense::GE, 1.0);
+    }
+    for (const auto& [cg_row, full_row] : parked) {
+      cg.deactivate_branch_row(cg_row);
+      full.deactivate_branch_row(full_row);
+    }
 
-      // Live LE row: forbid each base support pattern in turn.
-      std::pair<int, int> live_le{-1, -1};
-      for (const Slice& s : cg_base.slices) {
-        if (live_le.first >= 0) {
-          cg.deactivate_branch_row(live_le.first);
-          full.deactivate_branch_row(live_le.second);
+    // Live GE row: the fitting pair the base solution covers least.
+    BranchPredicate live_pair;
+    live_pair.kind = BranchPredicate::Kind::PairTogether;
+    double least = std::numeric_limits<double>::infinity();
+    for (std::size_t a = 0; a < widths; ++a) {
+      for (std::size_t b = a + 1; b < widths; ++b) {
+        if (problem.widths[a] + problem.widths[b] > problem.strip_width) {
+          continue;
         }
-        BranchPredicate pattern;
-        pattern.kind = BranchPredicate::Kind::Pattern;
-        pattern.phase = static_cast<int>(s.phase);
-        pattern.counts = s.config.counts;
-        live_le = add_both(pattern, lp::Sense::LE, 0.0);
-        const auto pruned = cg.resolve();
-        const auto truth = full.resolve();
-        ASSERT_EQ(pruned.status, truth.status)
-            << "seed=" << seed << " cache=" << cache;
-        if (truth.feasible) {
-          EXPECT_NEAR(pruned.objective, truth.objective,
-                      1e-6 * (1.0 + truth.objective))
-              << "seed=" << seed << " cache=" << cache;
-          EXPECT_EQ(pruned.colgen_warm_phase1_iterations, 0);
+        double covered = 0.0;
+        for (const Slice& s : cg_base.slices) {
+          if (s.config.counts[a] > 0 && s.config.counts[b] > 0) {
+            covered += s.height;
+          }
         }
+        if (covered < least) {
+          least = covered;
+          live_pair.width_a = a;
+          live_pair.width_b = b;
+        }
+      }
+    }
+    add_both(live_pair, lp::Sense::GE, 1.0);
+
+    // Live LE row: forbid each base support pattern in turn.
+    std::pair<int, int> live_le{-1, -1};
+    for (const Slice& s : cg_base.slices) {
+      if (live_le.first >= 0) {
+        cg.deactivate_branch_row(live_le.first);
+        full.deactivate_branch_row(live_le.second);
+      }
+      BranchPredicate pattern;
+      pattern.kind = BranchPredicate::Kind::Pattern;
+      pattern.phase = static_cast<int>(s.phase);
+      pattern.counts = s.config.counts;
+      live_le = add_both(pattern, lp::Sense::LE, 0.0);
+      const auto pruned = cg.resolve();
+      const auto truth = full.resolve();
+      ASSERT_EQ(pruned.status, truth.status) << "seed=" << seed;
+      if (truth.feasible) {
+        EXPECT_NEAR(pruned.objective, truth.objective,
+                    1e-6 * (1.0 + truth.objective))
+            << "seed=" << seed;
+        EXPECT_EQ(pruned.colgen_warm_phase1_iterations, 0);
       }
     }
   }
@@ -573,7 +569,7 @@ TEST(ConfigLpSolver, OffGridPairRowsKeepPricingExact) {
   // bounds, with the per-row bonus bound. Several live pair rows in both
   // senses (GE rows above the current cover collect positive multipliers,
   // LE rows at 0 negative ones), on the pairs that fill the strip most,
-  // must leave colgen equal to enumeration, with and without the cache.
+  // must leave colgen equal to enumeration.
   struct Pool {
     int lo, hi;  // width range in tens of basis points
   };
@@ -612,45 +608,41 @@ TEST(ConfigLpSolver, OffGridPairRowsKeepPricingExact) {
                        });
       pairs.resize(std::min<std::size_t>(pairs.size(), 6));
       ASSERT_GE(pairs.size(), 4u) << "seed=" << seed;
-      for (const bool cache : {false, true}) {
-        const std::string label = "lo=" + std::to_string(pool.lo) +
-                                  " seed=" + std::to_string(seed) +
-                                  " cache=" + std::to_string(cache);
-        ConfigLpOptions colgen_options;
-        colgen_options.use_column_generation = true;
-        colgen_options.use_pricing_cache = cache;
-        ConfigLpSolver cg(problem, colgen_options);
-        ConfigLpSolver full(problem);
-        ASSERT_TRUE(cg.solve().feasible) << label;
-        FractionalSolution truth = full.solve();
-        ASSERT_TRUE(truth.feasible) << label;
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          BranchPredicate pred;
-          pred.kind = BranchPredicate::Kind::PairTogether;
-          pred.width_a = pairs[k].first;
-          pred.width_b = pairs[k].second;
-          const bool ge = k % 2 == 0;
-          double rhs = 0.0;
-          if (ge) {
-            for (const Slice& s : truth.slices) {
-              if (pred.matches(s.config.counts, s.phase)) rhs += s.height;
-            }
-            rhs += 1.0;
+      const std::string label =
+          "lo=" + std::to_string(pool.lo) + " seed=" + std::to_string(seed);
+      ConfigLpOptions colgen_options;
+      colgen_options.use_column_generation = true;
+      ConfigLpSolver cg(problem, colgen_options);
+      ConfigLpSolver full(problem);
+      ASSERT_TRUE(cg.solve().feasible) << label;
+      FractionalSolution truth = full.solve();
+      ASSERT_TRUE(truth.feasible) << label;
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        BranchPredicate pred;
+        pred.kind = BranchPredicate::Kind::PairTogether;
+        pred.width_a = pairs[k].first;
+        pred.width_b = pairs[k].second;
+        const bool ge = k % 2 == 0;
+        double rhs = 0.0;
+        if (ge) {
+          for (const Slice& s : truth.slices) {
+            if (pred.matches(s.config.counts, s.phase)) rhs += s.height;
           }
-          const lp::Sense sense = ge ? lp::Sense::GE : lp::Sense::LE;
-          cg.add_branch_row(pred, sense, rhs);
-          full.add_branch_row(pred, sense, rhs);
-          const double before = truth.objective;
-          const auto priced = cg.resolve();
-          truth = full.resolve();
-          ASSERT_EQ(priced.status, truth.status) << label << " row " << k;
-          ASSERT_TRUE(truth.feasible) << label << " row " << k;
-          EXPECT_NEAR(priced.objective, truth.objective,
-                      1e-6 * (1.0 + truth.objective))
-              << label << " row " << k;
-          verify_fractional(problem, priced);
-          if (truth.objective > before + 1e-6) ++(ge ? moved_ge : moved_le);
+          rhs += 1.0;
         }
+        const lp::Sense sense = ge ? lp::Sense::GE : lp::Sense::LE;
+        cg.add_branch_row(pred, sense, rhs);
+        full.add_branch_row(pred, sense, rhs);
+        const double before = truth.objective;
+        const auto priced = cg.resolve();
+        truth = full.resolve();
+        ASSERT_EQ(priced.status, truth.status) << label << " row " << k;
+        ASSERT_TRUE(truth.feasible) << label << " row " << k;
+        EXPECT_NEAR(priced.objective, truth.objective,
+                    1e-6 * (1.0 + truth.objective))
+            << label << " row " << k;
+        verify_fractional(problem, priced);
+        if (truth.objective > before + 1e-6) ++(ge ? moved_ge : moved_le);
       }
     }
   }

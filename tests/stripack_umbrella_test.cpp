@@ -102,11 +102,6 @@ TEST(Umbrella, BranchAndPrice) {
   tree.add_root(1.0);
   EXPECT_EQ(tree.pop_best(), 0);
 
-  bnp::PricingCache cache;
-  const std::vector<int> counts{1, 0};
-  EXPECT_EQ(cache.insert(counts, 0.4), 0);
-  EXPECT_EQ(cache.size(), 1u);
-
   const auto packer = make_packer("BnP");
   ASSERT_NE(packer, nullptr);
   EXPECT_EQ(packer->name(), "BnP");
