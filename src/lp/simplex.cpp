@@ -75,6 +75,9 @@ class SimplexEngine::Impl {
   void sync_columns() {
     const int old_cols = num_structural_;
     append_model_columns();
+    // The duals stay exact (no basic column changed), but the new columns
+    // were never priced against them.
+    certified_ = false;
     // Freshly generated columns almost always price negative: put them at
     // the front of the candidate queue so the next solve enters them first.
     for (int c = old_cols; c < num_structural_; ++c) candidates_.push_back(c);
@@ -105,7 +108,8 @@ class SimplexEngine::Impl {
           b_norm_ += b_[r];
         }
         // xb = B^{-1} b through the retained eta file (the same identity
-        // refactor() re-establishes; duals are b-independent and keep).
+        // refactor() re-establishes). Duals and reduced costs are
+        // b-independent, so `duals_fresh_` and `certified_` keep.
         d_ = b_;
         apply_etas(d_);
         xb_ = d_;
@@ -148,7 +152,7 @@ class SimplexEngine::Impl {
     if (!refactor()) cold_start();
     candidates_.clear();
     scan_ptr_ = 0;
-    duals_fresh_ = false;
+    invalidate_duals();
   }
 
   bool load_basis(const std::vector<int>& codes) {
@@ -235,7 +239,7 @@ class SimplexEngine::Impl {
       if (is_artificial(basis_[i])) infeas += xb_[i];
     }
     if (infeas > 1e-12) {
-      phase_ = 1;
+      set_phase(1);
       const SolveStatus s1 = iterate(solution, max_iters);
       solution.phase1_iterations = solution.iterations;
       if (s1 != SolveStatus::Optimal) {
@@ -264,7 +268,7 @@ class SimplexEngine::Impl {
       }
     }
 
-    phase_ = 2;
+    set_phase(2);
     const SolveStatus s2 = iterate(solution, max_iters);
     solution.status = s2;
     if (s2 != SolveStatus::Optimal) return solution;
@@ -300,7 +304,7 @@ class SimplexEngine::Impl {
     numerical_retries_ = 0;
     const std::int64_t max_iters = default_max_iters();
     bland_ = forced_bland();
-    phase_ = 2;
+    set_phase(2);
     const double feas_tol = std::max(options_.tol, 1e-9) * (1.0 + b_norm_);
 
     // A freshly added equality row with positive residual parks its
@@ -309,9 +313,12 @@ class SimplexEngine::Impl {
     for (int i = 0; i < m_; ++i) {
       if (is_artificial(basis_[i]) && xb_[i] > feas_tol) return solve();
     }
-    recompute_duals();
+    if (!duals_fresh_) recompute_duals();
     // Dual feasibility check: an improving column means the basis was
     // never optimal (or an rhs sign flip perturbed the reduced costs).
+    // Skipped on a certified basis: the pricing pass that certified it
+    // found no column below -tol under these same duals, so the scan
+    // could neither return nor shift anything.
     // With `shift_dual_infeasible`, improving columns are instead
     // cost-shifted so their reduced cost clamps to zero; the shifts are
     // dropped before the closing primal phase below. Structural shifts
@@ -320,7 +327,7 @@ class SimplexEngine::Impl {
     // it pivots basic and the repair round still ends Infeasible — the
     // exit drops the shifts, so the retained duals (true costs through a
     // shifted-in basis) can price slacks negative on the next re-solve.
-    {
+    if (!certified_) {
       const int limit = num_structural_ + m_;
       for (int pos = 0; pos < limit; ++pos) {
         const int code = code_at(pos);
@@ -499,6 +506,7 @@ class SimplexEngine::Impl {
   }
 
   void install_basis(const std::vector<int>& basis) {
+    invalidate_duals();
     basis_ = basis;
     std::fill(in_basis_struct_.begin(), in_basis_struct_.end(), false);
     in_basis_logical_.assign(static_cast<std::size_t>(2) * m_, false);
@@ -523,6 +531,7 @@ class SimplexEngine::Impl {
   }
 
   void cold_start() {
+    invalidate_duals();
     std::vector<int> basis(static_cast<std::size_t>(m_));
     for (int r = 0; r < m_; ++r) {
       basis[r] = slack_sign_[r] > 0.0 ? slack_of(r) : artificial_of(r);
@@ -552,6 +561,7 @@ class SimplexEngine::Impl {
   // values — the drift a stale or damaged factorization produces. The
   // residual check at certification must catch it; refactor() repairs it.
   void perturb_factorization(double magnitude) {
+    invalidate_duals();
     if (!etas_.empty()) {
       Eta& eta = etas_.back();
       if (eta.begin != eta.end) {
@@ -657,8 +667,23 @@ class SimplexEngine::Impl {
   }
 
   void clear_shifts() {
+    if (cost_shift_.empty() && logical_shift_.empty()) return;
+    invalidate_duals();
     cost_shift_.clear();
     logical_shift_.clear();
+  }
+
+  void set_phase(int phase) {
+    if (phase == phase_) return;
+    invalidate_duals();
+    phase_ = phase;
+  }
+
+  // The basis, the eta file, the phase or the basic costs changed: y_ no
+  // longer equals c_B' B^{-1}, and no pricing pass has certified it.
+  void invalidate_duals() {
+    duals_fresh_ = false;
+    certified_ = false;
   }
 
   // Deterministic total order used by ratio-test tie-breaks (structural
@@ -761,7 +786,7 @@ class SimplexEngine::Impl {
       u_[i] = 0.0;  // a row can repeat in touched_; apply it only once
       y_[i] += f;
     }
-    duals_fresh_ = false;
+    invalidate_duals();
   }
 
   // Incremental dual update after choosing (entering, leave): with rc the
@@ -796,6 +821,7 @@ class SimplexEngine::Impl {
       if (fault_action == FaultAction::TripStop) fault_stop_ = true;
       if (fault_action == FaultAction::NearSingularPivot) return false;
     }
+    invalidate_duals();
     pivots_since_refactor_ = 0;
     clear_etas();
     etas_.reserve(static_cast<std::size_t>(m_) +
@@ -866,7 +892,13 @@ class SimplexEngine::Impl {
           eta_off_.push_back({e.row, e.coef});
         }
       }
-      etas_.push_back({r, 1.0 / pivot_value, begin, eta_off_.size()});
+      // A unit column at its own row (a +1 logical, or a structural with
+      // one unit entry) inverts to the identity: v[r] * 1.0 == v[r], so
+      // its eta would be a no-op in every FTRAN and BTRAN. Record the
+      // pivot, emit nothing.
+      if (pivot_value != 1.0 || begin != eta_off_.size()) {
+        etas_.push_back({r, 1.0 / pivot_value, begin, eta_off_.size()});
+      }
       new_basis_[r] = basis_[k];
       col_done_[k] = true;
       row_active_[r] = false;
@@ -1017,7 +1049,7 @@ class SimplexEngine::Impl {
 
   // ----- core iteration ---------------------------------------------------
   SolveStatus iterate(Solution& solution, std::int64_t max_iters) {
-    recompute_duals();
+    if (!duals_fresh_) recompute_duals();
     int degenerate_streak = 0;
 
     while (true) {
@@ -1124,6 +1156,7 @@ class SimplexEngine::Impl {
   }
 
   void pivot(int entering, int leave, double theta) {
+    invalidate_duals();
     for (int i = 0; i < m_; ++i) xb_[i] -= theta * d_[i];
     xb_[leave] = theta;
 
@@ -1153,8 +1186,12 @@ class SimplexEngine::Impl {
     for (int c = 0; c < num_structural_; ++c) {
       solution.objective += cost2_[c] * solution.x[c];
     }
-    // Exact duals y = cB' B^{-1}, mapped back through row flips.
-    recompute_duals();
+    // Exact duals y = cB' B^{-1}, mapped back through row flips. iterate()
+    // only reports Optimal on fresh duals, after a full pricing pass found
+    // no column below -tol: the basis is certified until it, the costs or
+    // the column set change.
+    if (!duals_fresh_) recompute_duals();
+    certified_ = phase_ == 2 && cost_shift_.empty() && logical_shift_.empty();
     solution.duals.assign(y_.begin(), y_.end());
     for (int r = 0; r < m_; ++r) {
       if (flipped_[r]) solution.duals[r] = -solution.duals[r];
@@ -1167,7 +1204,13 @@ class SimplexEngine::Impl {
   int num_structural_ = 0;
   int phase_ = 2;
   bool bland_ = false;
+  // y_ == c_B' B^{-1} for the current basis, eta file, phase and costs.
+  // Every change to those clears it (invalidate_duals), so a recompute
+  // while it holds would reproduce y_ bit for bit.
   bool duals_fresh_ = false;
+  // The fresh duals passed a full phase-2 pricing pass with no shifts: no
+  // nonbasic column prices below -tol. Also cleared when columns arrive.
+  bool certified_ = false;
   double b_norm_ = 0.0;
 
   std::vector<std::vector<RowEntry>> cols_;  // transformed structural columns

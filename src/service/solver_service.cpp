@@ -4,6 +4,8 @@
 #include <cctype>
 #include <iomanip>
 #include <istream>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -60,6 +62,18 @@ namespace {
   return false;
 }
 
+// Canonicalization is pure, so it runs outside the admission lock. A
+// request outside the service contract yields nullopt and its reason.
+[[nodiscard]] std::optional<CanonicalRequest> try_canonicalize(
+    const Instance& instance, std::string& error) {
+  try {
+    return canonicalize(instance);
+  } catch (const std::exception& e) {
+    error = one_line(e.what());
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 struct SolverService::Pending {
@@ -92,6 +106,9 @@ struct SolverService::ClassState {
   /// and re-reads `demand` at every rebind, so this must never move.
   std::unique_ptr<release::ConfigLpProblem> problem;
   std::optional<release::ConfigLpSolver> master;
+  /// LP pivots per request in this class's previous batch (empty before
+  /// its first batch): the deterministic cost estimate run() dispatches by.
+  std::optional<double> pivots_per_request;
 };
 
 SolverService::SolverService(ServiceOptions options)
@@ -107,20 +124,25 @@ ServiceStats SolverService::stats() const {
 
 std::size_t SolverService::enqueue(const Instance& instance,
                                    bool force_degraded) {
-  // Canonicalization is pure; only the admission bookkeeping below needs
-  // the lock, so concurrent enqueuers don't serialize on the sort.
-  CanonicalRequest canonical;
   std::string error;
-  bool ok = true;
-  try {
-    canonical = canonicalize(instance);
-  } catch (const std::exception& e) {
-    ok = false;
-    error = one_line(e.what());
-  }
+  std::optional<CanonicalRequest> canonical =
+      try_canonicalize(instance, error);
+  return admit(std::move(canonical), std::move(error), force_degraded);
+}
+
+bool SolverService::backlog_full(const std::string& class_signature) const {
+  const std::lock_guard<std::mutex> lock(sync_->mutex);
+  const auto slot = class_by_signature_.find(class_signature);
+  return options_.backlog_threshold > 0 &&
+         slot != class_by_signature_.end() &&
+         classes_[slot->second]->pending.size() >= options_.backlog_threshold;
+}
+
+std::size_t SolverService::admit(std::optional<CanonicalRequest> canonical,
+                                 std::string error, bool force_degraded) {
   const std::lock_guard<std::mutex> lock(sync_->mutex);
   const std::size_t id = next_id_++;
-  if (!ok) {
+  if (!canonical) {
     ServiceResponse rejected;
     rejected.id = id;
     rejected.error = std::move(error);
@@ -128,10 +150,10 @@ std::size_t SolverService::enqueue(const Instance& instance,
     return id;
   }
   const auto [slot, inserted] = class_by_signature_.try_emplace(
-      canonical.class_signature, classes_.size());
+      canonical->class_signature, classes_.size());
   if (inserted) {
     classes_.push_back(std::make_unique<ClassState>());
-    classes_.back()->signature = canonical.class_signature;
+    classes_.back()->signature = canonical->class_signature;
   }
   ClassState& cls = *classes_[slot->second];
   Pending pending;
@@ -141,13 +163,14 @@ std::size_t SolverService::enqueue(const Instance& instance,
   // of the enqueue order, so it replays identically at any worker count.
   pending.degraded =
       force_degraded || cls.pending.size() >= options_.backlog_threshold;
-  pending.request = std::move(canonical);
+  pending.request = std::move(*canonical);
   cls.pending.push_back(std::move(pending));
   return id;
 }
 
 void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
                                   std::vector<ServiceResponse>& out) const {
+  std::int64_t pivots = 0;
   for (Pending& p : batch) {
     ServiceResponse r;
     r.id = p.id;
@@ -185,6 +208,7 @@ void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
       r.warm_root = cls.master->solved();
       bnp::BnpResult result =
           bnp::solve_warm(p.request.instance, opts, *cls.master);
+      pivots += result.lp_iterations;
       r.ok = true;
       r.status = result.status;
       r.height = result.height;
@@ -215,6 +239,10 @@ void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
       r.error = one_line(e.what());
     }
     out.push_back(std::move(r));
+  }
+  if (!batch.empty()) {
+    cls.pivots_per_request =
+        static_cast<double>(pivots) / static_cast<double>(batch.size());
   }
 }
 
@@ -252,11 +280,32 @@ std::vector<ServiceResponse> SolverService::run() {
     }
   }
 
+  // Heaviest class first (longest-processing-time list scheduling): the
+  // pool starts chunks in index order, so a heavy class no longer waits
+  // behind light ones and stretches the batch's critical path. A class's
+  // estimate is its LP pivots per request in its previous batch times its
+  // pending count; classes with no history go first (a cold master is a
+  // class's most expensive solve). Ties keep class-index order.
+  std::vector<double> estimate(active.size());
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    const std::optional<double>& history = active[k]->pivots_per_request;
+    estimate[k] = history ? *history * static_cast<double>(batches[k].size())
+                          : std::numeric_limits<double>::infinity();
+  }
+  std::vector<std::size_t> order(active.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return estimate[a] > estimate[b];
+                   });
+
   // One chunk per class: classes share nothing (separate masters, caches,
-  // response vectors), so threads only change which core runs which
-  // class — the responses are bitwise identical at any worker count.
+  // response vectors), so neither the dispatch order nor the thread that
+  // runs a class changes a response — they are bitwise identical at any
+  // worker count.
   std::vector<std::vector<ServiceResponse>> per_class(active.size());
-  const auto work = [&](std::size_t k) {
+  const auto work = [&](std::size_t i) {
+    const std::size_t k = order[i];
     process_class(*active[k], batches[k], per_class[k]);
   };
   if (options_.workers <= 1 || active.size() <= 1) {
@@ -293,32 +342,46 @@ std::vector<ServiceResponse> SolverService::run() {
 }
 
 std::size_t SolverService::serve_stream(std::istream& is, std::ostream& os) {
-  while (skip_to_content(is)) {
-    try {
-      const Instance instance = io::read_instance(is);
-      enqueue(instance);
-    } catch (const std::exception& e) {
-      // The v1 format has no resync point: report this request as broken
-      // and stop ingesting rather than mis-parse the remainder.
-      ServiceResponse rejected;
-      rejected.error = one_line(e.what());
-      const std::lock_guard<std::mutex> lock(sync_->mutex);
-      rejected.id = next_id_++;
-      rejected_.push_back(std::move(rejected));
-      break;
-    }
-  }
-  const std::vector<ServiceResponse> responses = run();
   // A sink that dies mid-stream (reader closed the pipe, disk full) puts
   // `os` into a failed state; every further insertion would be a silent
   // no-op. Flush per response so failure is observed at the response
-  // boundary, stop writing, and report only what actually went out.
+  // boundary, stop writing and reading, and report only what actually
+  // went out.
   std::size_t written = 0;
-  for (const ServiceResponse& r : responses) {
-    write_response(os, r);
-    if (!os.flush()) break;
-    ++written;
+  bool sink_ok = true;
+  const auto answer_batch = [&] {
+    for (const ServiceResponse& r : run()) {
+      write_response(os, r);
+      if (!os.flush()) {
+        sink_ok = false;
+        return;
+      }
+      ++written;
+    }
+  };
+  while (sink_ok && skip_to_content(is)) {
+    Instance instance;
+    try {
+      instance = io::read_instance(is);
+    } catch (const std::exception& e) {
+      // The v1 format has no resync point: report this request as broken
+      // and stop ingesting rather than mis-parse the remainder.
+      (void)admit(std::nullopt, one_line(e.what()), false);
+      break;
+    }
+    std::string error;
+    std::optional<CanonicalRequest> canonical =
+        try_canonicalize(instance, error);
+    // Close the batch before this request would find its class backlog
+    // full: reading requests together must not degrade them, and the
+    // queues stay bounded by classes x backlog_threshold.
+    if (canonical && backlog_full(canonical->class_signature)) {
+      answer_batch();
+      if (!sink_ok) break;
+    }
+    (void)admit(std::move(canonical), std::move(error), false);
   }
+  if (sink_ok) answer_batch();
   return written;
 }
 

@@ -39,12 +39,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bnp/solver.hpp"
 #include "core/instance.hpp"
 #include "core/packing.hpp"
+#include "service/canonical.hpp"
 
 namespace stripack {
 class ThreadPool;
@@ -66,7 +68,7 @@ struct ServiceOptions {
   /// bracket, just a cheaper one.
   std::size_t degraded_node_budget = 64;
   /// A request finding this many same-class requests already queued is
-  /// admitted degraded.
+  /// admitted degraded (`serve_stream` closes its batch before that).
   std::size_t backlog_threshold = 8;
   /// Per-request wall-clock budget in seconds (0 = none). Nonzero trades
   /// bitwise replay determinism for bounded tail latency.
@@ -138,15 +140,20 @@ class SolverService {
 
   /// Reads a concatenated stream of `stripack-instance v1` documents
   /// from `is` (comments and blank lines between documents allowed),
-  /// enqueues each, runs, and writes one `stripack-response v1` document
-  /// per request to `os` in request order. A mid-document parse error
-  /// poisons the rest of the stream (no resync point): the broken
-  /// request gets an error response and ingestion stops there. A sink
-  /// that fails mid-response (`os` goes bad, e.g. the reader vanished)
-  /// stops the writer cleanly: remaining responses are dropped, never
-  /// spun on. Returns the number of responses *fully written and
-  /// flushed* — compare against `stats().requests` to detect a truncated
-  /// response stream.
+  /// enqueues each, and writes one `stripack-response v1` document per
+  /// request to `os` in request order. It serves in bounded batches:
+  /// before a request would find `backlog_threshold` requests of its class
+  /// already queued, the batch read so far is run and its responses are
+  /// written and flushed. Reading a stream therefore never admits a
+  /// request degraded by itself (its `admission` line reads `normal`),
+  /// and memory stays bounded by classes x `backlog_threshold`, however
+  /// long the stream. A mid-document parse error poisons the rest of the
+  /// stream (no resync point): the broken request gets an error response
+  /// and ingestion stops there. A sink that fails mid-response (`os` goes
+  /// bad, e.g. the reader vanished) stops the writer and the reader
+  /// cleanly: remaining responses are dropped, never spun on. Returns the
+  /// number of responses *fully written and flushed* — compare against
+  /// `stats().requests` to detect a truncated response stream.
   std::size_t serve_stream(std::istream& is, std::ostream& os);
 
   /// Snapshot of the cumulative counters since construction (by value —
@@ -171,6 +178,13 @@ class SolverService {
  private:
   struct ClassState;
   struct Pending;
+  /// Queues a canonical request, or records an error response when
+  /// `canonical` is empty; returns its id.
+  std::size_t admit(std::optional<CanonicalRequest> canonical,
+                    std::string error, bool force_degraded);
+  /// The class of `class_signature` already has `backlog_threshold`
+  /// requests queued (the next one would be admitted degraded).
+  [[nodiscard]] bool backlog_full(const std::string& class_signature) const;
   void process_class(ClassState& cls, std::vector<Pending>& batch,
                      std::vector<ServiceResponse>& responses) const;
 

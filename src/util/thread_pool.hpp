@@ -13,6 +13,11 @@
 // order, after `run` returns. Exceptions thrown by `fn` are captured and
 // the one from the lowest chunk index is rethrown, so the choice is
 // reproducible.
+//
+// Claim order: a free thread (worker or caller) claims the lowest chunk
+// not yet claimed, so chunks start in increasing index order. The
+// service's heaviest-first class dispatch relies on this: it puts the
+// costliest class at index 0 so it starts first.
 #pragma once
 
 #include <condition_variable>

@@ -11,6 +11,7 @@
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "lp_test_support.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace stripack::lp {
@@ -217,6 +218,116 @@ TEST(DualSimplex, UnsolvedEngineFallsBackToPrimal) {
   const Solution s = engine.solve_dual();
   certify_optimal_solution(m, s);
   EXPECT_NEAR(s.objective, 2.8, kTol);
+}
+
+// ------------------------------------------- warm re-solve shortcuts
+// The engine skips work the last solve already certified: it keeps exact
+// duals until the basis, eta file, phase or costs change, and skips the
+// dual-feasibility pre-scan on a certified basis until columns arrive.
+// One warm engine runs through every kind of edit, and after each call its
+// status and objective must match a cold engine on the same model.
+TEST(DualSimplex, WarmShortcutsMatchColdAcrossMixedEdits) {
+  Rng rng(4242);
+  Model m = random_covering_model(rng, 9, 24);
+  // PricingRound polls: 1 = the cold solve, 2..4 = the rhs-only re-solves
+  // below; the eta file is corrupted at the entry of the third one.
+  FaultInjector fault(FaultPlan{
+      {FaultEvent{FaultSite::PricingRound, 4, FaultAction::PerturbEta}}});
+  SimplexOptions options;
+  options.fault = &fault;
+  SimplexEngine engine(m, options);
+
+  const auto matches_cold = [&](const Solution& warm, const char* step) {
+    const Solution cold = solve(m);
+    EXPECT_EQ(warm.status, cold.status) << step;
+    if (warm.optimal() && cold.optimal()) {
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-7 * (1.0 + std::fabs(cold.objective)))
+          << step;
+      certify_optimal_solution(m, warm);
+    }
+  };
+  const Solution first = engine.solve();
+  ASSERT_TRUE(first.optimal());
+  matches_cold(first, "cold solve");
+
+  // rhs-only edits: the basis and eta file keep, so do the duals.
+  std::vector<int> ge_rows;
+  for (int r = 0; r < m.num_rows(); ++r) {
+    if (m.row_sense(r) == Sense::GE) ge_rows.push_back(r);
+  }
+  ASSERT_GE(ge_rows.size(), 2u);
+  for (int k = 0; k < 3; ++k) {
+    const int r = ge_rows[static_cast<std::size_t>(k) % ge_rows.size()];
+    m.set_row_rhs(r, m.row_rhs(r) * 1.5 + 4.0);
+    engine.sync_rows();
+    const Solution s = engine.solve_dual();
+    matches_cold(s, "rhs-only edit");
+    if (k == 2) {
+      // The corrupted factorization must not certify: a residual repair
+      // or a cold restart caught it.
+      EXPECT_EQ(fault.fired(), 1u);
+      EXPECT_GE(s.residual_repairs + s.cold_restarts, 1);
+    }
+  }
+
+  // An appended, violated cut row.
+  std::vector<ColumnEntry> cut;
+  double activity = 0.0;
+  const Solution before_cut = engine.solve();
+  ASSERT_TRUE(before_cut.optimal());
+  for (int c = 0; c < m.num_cols(); c += 2) {
+    cut.push_back({c, 1.0});
+    activity += before_cut.x[c];
+  }
+  m.add_row_with_entries(Sense::GE, activity + 1.0, cut, "cut");
+  engine.sync_rows();
+  matches_cold(engine.solve_dual(), "appended row");
+
+  // A new column, then a primal re-solve.
+  std::vector<RowEntry> column;
+  for (const int r : ge_rows) column.push_back({r, 1.0});
+  m.add_column(0.5, column);
+  engine.sync_columns();
+  matches_cold(engine.solve(), "sync_columns + solve");
+
+  // A satisfied probe row, so the retained basis holds its surplus.
+  std::vector<ColumnEntry> probe;
+  for (int c = 1; c < m.num_cols(); c += 2) probe.push_back({c, 1.0});
+  const int probe_row = m.add_row_with_entries(Sense::GE, 0.0, probe, "probe");
+  engine.sync_rows();
+  const Solution probed = engine.solve_dual();
+  matches_cold(probed, "satisfied probe row");
+  ASSERT_TRUE(probed.optimal());
+
+  // A column pricing negative arrives, then an rhs-only edit makes the
+  // basis primal infeasible (the probe's surplus goes to -1). The basis
+  // is no longer dual feasible, so solve_dual must see that and fall back
+  // to the primal (documented) instead of running dual pivots on it.
+  double rc = 1e-6;
+  std::vector<RowEntry> cheap;
+  for (const int r : ge_rows) {
+    cheap.push_back({r, 1.0});
+    rc -= probed.duals[r];
+  }
+  ASSERT_LT(rc, -1e-6) << "the new column must price negative";
+  m.add_column(1e-6, cheap);
+  engine.sync_columns();
+  double probe_activity = 0.0;
+  for (int c = 1; c < m.num_cols() - 1; c += 2) {
+    probe_activity += probed.x[c];
+  }
+  m.set_row_rhs(probe_row, probe_activity + 1.0);
+  engine.sync_rows();
+  const Solution fell_back = engine.solve_dual();
+  matches_cold(fell_back, "new column + infeasible rhs");
+  EXPECT_EQ(fell_back.dual_iterations, 0);
+
+  // A GE row whose rhs crosses zero flips its internal normalization.
+  m.set_row_rhs(ge_rows[0], -1.0);
+  engine.sync_rows();
+  matches_cold(engine.solve_dual(), "GE sign flip");
+  matches_cold(engine.solve_dual(), "repeat after the flip");
 }
 
 // ------------------------------------------------------ randomized sweep

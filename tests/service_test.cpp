@@ -1,7 +1,9 @@
-// Solver-service contract tests: bitwise replay at any worker count,
-// warm-pool certificates equal to a cold bnp::solve's, deterministic
-// admission degradation into anytime brackets, and error responses (not
-// dead workers) for unservable or malformed requests.
+// Solver-service contract tests: bitwise replay at any worker count (also
+// across heaviest-first dispatch as class history accrues), warm-pool
+// certificates equal to a cold bnp::solve's, deterministic admission
+// degradation into anytime brackets, bounded serve_stream batches, and
+// error responses (not dead workers) for unservable or malformed
+// requests.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +16,7 @@
 #include "io/instance_io.hpp"
 #include "service/solver_service.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace stripack::service {
 namespace {
@@ -81,6 +84,86 @@ TEST(SolverService, ServeStreamIsBitwiseIdenticalAtAnyWorkerCount) {
   }
   EXPECT_NE(baseline.find("stripack-response v1"), std::string::npos);
   EXPECT_NE(baseline.find("cache hit"), std::string::npos);
+}
+
+// Eight classes of very different weight: one heavy class (4 widths, 3
+// release phases, 9-11 items) and seven light ones (1-3 widths, one or
+// two phases, 3-6 items). Per-class request counts change from round to
+// round, so run()'s pivot-history estimate reorders the classes between
+// consecutive batches.
+std::vector<Instance> skewed_round(int round) {
+  struct Shape {
+    std::vector<int> widths;
+    std::vector<int> releases;
+    int min_items;
+    int max_items;
+  };
+  const std::vector<Shape> shapes = {
+      {{21, 29, 34, 47}, {0, 2, 4}, 9, 11},
+      {{50}, {0}, 3, 4},
+      {{30, 45}, {0}, 3, 5},
+      {{25, 40}, {0, 2}, 3, 5},
+      {{22, 33, 52}, {0}, 4, 6},
+      {{35}, {0, 1}, 3, 4},
+      {{27, 48}, {0}, 4, 6},
+      {{24, 31, 44}, {0, 3}, 4, 6},
+  };
+  Rng rng(1000 + static_cast<std::uint64_t>(round));
+  // The first items cover every width and release of the class.
+  const auto pick = [&rng](const std::vector<int>& from, std::size_t i) {
+    if (i < from.size()) return static_cast<double>(from[i]);
+    const auto last = static_cast<std::int64_t>(from.size()) - 1;
+    return static_cast<double>(
+        from[static_cast<std::size_t>(rng.uniform_int(0, last))]);
+  };
+  std::vector<Instance> out;
+  for (std::size_t c = 0; c < shapes.size(); ++c) {
+    const Shape& shape = shapes[c];
+    const std::size_t count =
+        1 + (c * 3 + static_cast<std::size_t>(round) * 5) % 4;
+    for (std::size_t j = 0; j < count; ++j) {
+      const auto n = static_cast<std::size_t>(
+          rng.uniform_int(shape.min_items, shape.max_items));
+      std::vector<std::array<double, 3>> rows;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double w = pick(shape.widths, i);
+        const double r = pick(shape.releases, i);
+        rows.push_back({w, static_cast<double>(rng.uniform_int(1, 3)), r});
+      }
+      out.push_back(make(rows, 100));
+    }
+  }
+  rng.shuffle(out);
+  return out;
+}
+
+TEST(SolverService, SkewedClassesReplayAcrossDispatchOrders) {
+  std::string baseline;
+  for (const int workers : {1, 2, 4}) {
+    ServiceOptions options;
+    options.workers = workers;
+    options.node_budget = 200;
+    SolverService service(options);
+    std::ostringstream os;
+    std::size_t served = 0;
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<Instance> batch = skewed_round(round);
+      for (const Instance& instance : batch) (void)service.enqueue(instance);
+      const std::vector<ServiceResponse> responses = service.run();
+      ASSERT_EQ(responses.size(), batch.size()) << "round " << round;
+      for (const ServiceResponse& r : responses) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.id, served++);
+        SolverService::write_response(os, r);
+      }
+    }
+    EXPECT_EQ(service.stats().classes, 8u);
+    if (baseline.empty()) {
+      baseline = os.str();
+    } else {
+      EXPECT_EQ(os.str(), baseline) << "workers=" << workers;
+    }
+  }
 }
 
 TEST(SolverService, RepeatedRunsReplayIdentically) {
@@ -206,6 +289,33 @@ TEST(SolverService, UnservableRequestsGetErrorResponses) {
   EXPECT_TRUE(responses[3].ok) << responses[3].error;
   EXPECT_EQ(service.stats().errors, 3u);
   EXPECT_EQ(service.stats().requests, 4u);
+}
+
+TEST(SolverService, ServeStreamServesInBoundedBatches) {
+  // Eleven same-class requests against a backlog threshold of 3: a
+  // one-shot batch would degrade eight of them. serve_stream closes a
+  // batch before the backlog fills, so every request is admitted normally
+  // and the responses still come out in request order.
+  std::ostringstream req;
+  for (int k = 0; k < 11; ++k) {
+    io::write_instance(
+        req, make({{4, 1.0 + k % 3, 0}, {6, 2, 0}, {4, 1.0 + k % 2, 0}}, 10));
+    req << "\n";
+  }
+  ServiceOptions options;
+  options.backlog_threshold = 3;
+  SolverService service(options);
+  std::istringstream is(req.str());
+  std::ostringstream os;
+  EXPECT_EQ(service.serve_stream(is, os), 11u);
+  EXPECT_EQ(service.stats().degraded, 0u);
+  const std::string out = os.str();
+  EXPECT_EQ(out.find("admission degraded"), std::string::npos) << out;
+  std::size_t at = 0;
+  for (int k = 0; k < 11; ++k) {
+    at = out.find("request " + std::to_string(k) + "\n", at);
+    ASSERT_NE(at, std::string::npos) << "request " << k;
+  }
 }
 
 TEST(SolverService, ServeStreamReportsMalformedDocumentAndStops) {
