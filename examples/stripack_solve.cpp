@@ -3,7 +3,7 @@
 //   $ ./stripack_solve <instance.txt> [--algo dc|uniform|aptas|kr|list|
 //                                       nfdh|ffdh|bfdh|sleator|skyline|bnp]
 //                      [--eps E] [--K k] [--svg out.svg] [--out placement.txt]
-//                      [--time-limit SEC] [--backend NAME] [--verbose]
+//                      [--time-limit SEC] [--verbose]
 //
 // Reads the text format of io/instance_io.hpp, picks the algorithm (or
 // chooses one from the instance's constraints when --algo is omitted),
@@ -13,10 +13,9 @@
 // `--time-limit` sets the bnp wall-clock deadline in seconds (anytime:
 // the solver still returns its best incumbent with a valid
 // [dual_bound, height] bracket; negative values are a usage error).
-// `--backend` picks the master LP's registered `lp::LpBackend` (see
-// lp/backend.hpp); a master that fails numerically on it still fails over
-// to the dense backend. `--verbose` prints the solver's node, pricing
-// and numerical-recovery diagnostics.
+// The master LP runs on the eta-file `lp::SimplexEngine`; a master that
+// fails numerically fails over once to a fresh cold engine. `--verbose`
+// prints the solver's node, pricing and numerical-recovery diagnostics.
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -37,19 +36,12 @@ int usage() {
   std::cerr
       << "usage: stripack_solve <instance.txt> [--algo NAME] [--eps E]\n"
          "                      [--K k] [--svg out.svg] [--out place.txt]\n"
-         "                      [--time-limit SEC] [--backend NAME]\n"
-         "                      [--verbose]\n"
+         "                      [--time-limit SEC] [--verbose]\n"
          "algorithms: dc uniform aptas kr list nfdh ffdh bfdh sleator "
          "skyline bnp\n"
          "bnp flags: --time-limit SEC (>= 0) sets the anytime wall-clock\n"
-         "deadline; --backend selects the master LP backend (";
-  bool first = true;
-  for (const std::string& name : lp::lp_backend_names()) {
-    std::cerr << (first ? "" : " | ") << name;
-    first = false;
-  }
-  std::cerr << ");\n--verbose prints node / pricing / recovery "
-               "diagnostics\n";
+         "deadline; --verbose prints node / pricing / recovery "
+         "diagnostics\n";
   return 2;
 }
 
@@ -71,7 +63,6 @@ int main(int argc, char** argv) {
   double eps = 0.5;
   int K = 4;
   double time_limit = 0.0;  // 0 = unlimited
-  std::string backend = lp::kDefaultLpBackend;
   bool verbose = false;
   const std::string input = argv[1];
   try {
@@ -110,12 +101,6 @@ int main(int argc, char** argv) {
         if (!next_double(time_limit)) return usage();
         if (time_limit < 0.0) {
           std::cerr << "negative value for " << flag << "\n";
-          return usage();
-        }
-      } else if (flag == "--backend") {
-        backend = next();
-        if (!lp::has_lp_backend(backend)) {
-          std::cerr << "unknown LP backend: " << backend << "\n";
           return usage();
         }
       } else if (flag == "--verbose") {
@@ -175,10 +160,6 @@ int main(int argc, char** argv) {
       if (integral) {
         bnp::BnpOptions options;
         options.budget.max_seconds = time_limit;
-        options.lp.backend = backend;
-        if (backend != lp::kDefaultLpBackend) {
-          std::cout << "bnp: master LP backend " << backend << "\n";
-        }
         const bnp::BnpResult result = bnp::solve(instance, options);
         // Only an Optimal status is a certificate; budget-limited or
         // stalled runs carry a [dual_bound, height] bracket instead.
@@ -220,7 +201,6 @@ int main(int argc, char** argv) {
         // Quantizing adapter path: forward the solver flags.
         bnp::BnpOptions options = bnp::BnpPacker::default_pack_options();
         if (time_limit > 0.0) options.budget.max_seconds = time_limit;
-        options.lp.backend = backend;
         const bnp::BnpPacker packer(options);
         std::vector<Rect> rects;
         for (const Item& it : instance.items()) rects.push_back(it.rect);

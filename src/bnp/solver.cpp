@@ -316,8 +316,8 @@ void accumulate(BnpResult& result, const release::FractionalSolution& s) {
 
 // The warm-path invariant: node re-solves never run phase 1 — unless the
 // recovery ladder legitimately restarted cold (a cold restart inside the
-// backend, or a full backend failover), or the solve was interrupted /
-// failed before certifying anything.
+// engine, or a failover to a fresh cold engine), or the solve was
+// interrupted / failed before certifying anything.
 [[nodiscard]] bool warm_path_ok(const release::FractionalSolution& s) {
   return s.colgen_warm_phase1_iterations == 0 || !s.feasible ||
          s.lp_cold_restarts > 0 || s.master_failovers > 0;

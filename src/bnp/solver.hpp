@@ -68,7 +68,7 @@ enum class BnpStatus {
   TimeLimit,
   /// A node LP failed to converge (iteration limit) or failed numerically
   /// after the whole recovery ladder — refactorize-and-retry, cold
-  /// restart, backend failover — ran dry. The bracket held in
+  /// restart, master failover — ran dry. The bracket held in
   /// height/dual_bound is still valid.
   Stalled,
 };
@@ -76,9 +76,8 @@ enum class BnpStatus {
 struct BnpOptions {
   /// Underlying LP configuration. Column generation is the default (the
   /// branch-and-price shape, with Farkas pricing at infeasible nodes);
-  /// disabling it enumerates every configuration up front instead.
-  /// `lp.backend` picks the master's `lp::LpBackend` from the registry
-  /// ("simplex" production engine, "dense" reference tableau).
+  /// disabling it enumerates every configuration up front instead. The
+  /// master always runs on the eta-file `lp::SimplexEngine`.
   release::ConfigLpOptions lp{.use_column_generation = true};
   SearchBudget budget;
   /// Seed the incumbent from the rounded root LP (floor early-phase
@@ -147,7 +146,8 @@ struct BnpResult {
   std::size_t strong_branch_probes = 0;
   /// Recovery / anytime diagnostics: recovery-ladder activity summed over
   /// every LP (re-)solve (see `release::FractionalSolution`) and master
-  /// backend failovers. All zero on a numerically clean run.
+  /// failovers to a fresh cold engine. All zero on a numerically clean
+  /// run.
   int lp_refactor_retries = 0;
   int lp_residual_repairs = 0;
   int lp_cold_restarts = 0;

@@ -5,13 +5,13 @@
 namespace stripack::lp {
 
 ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
-                                          LpBackend& backend,
+                                          SimplexEngine& engine,
                                           double pricing_tol, int max_rounds) {
   STRIPACK_EXPECTS(max_rounds > 0);
   ColgenResult result;
-  backend.sync_columns();
+  engine.sync_columns();
   while (true) {
-    result.solution = backend.solve();
+    result.solution = engine.solve();
     ++result.rounds;
     result.total_iterations += result.solution.iterations;
     result.refactor_retries += result.solution.refactor_retries;
@@ -31,16 +31,8 @@ ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
       model.add_column(col.cost, col.entries, col.name);
       ++result.columns_added;
     }
-    backend.sync_columns();
+    engine.sync_columns();
   }
-}
-
-ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,
-                                          SimplexEngine& engine,
-                                          double pricing_tol, int max_rounds) {
-  const auto backend = wrap_engine(engine);
-  return solve_with_column_generation(model, oracle, *backend, pricing_tol,
-                                      max_rounds);
 }
 
 ColgenResult solve_with_column_generation(Model& model, PricingOracle& oracle,

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/backend.hpp"
 #include "lp/simplex.hpp"
 
 namespace stripack::lp {
@@ -76,15 +75,6 @@ struct ColgenResult {
 /// `SimplexOptions::tol`.
 [[nodiscard]] ColgenResult solve_with_column_generation(
     Model& model, PricingOracle& oracle, SimplexEngine& engine,
-    double pricing_tol = 1e-9, int max_rounds = 500);
-
-/// Backend-generic variant of the caller-owned-engine loop: identical
-/// semantics against any `lp::LpBackend` (the configuration-LP solver
-/// drives this one so a registry backend can replace the engine). The
-/// `SimplexEngine` overload above forwards here through a non-owning
-/// wrapper.
-[[nodiscard]] ColgenResult solve_with_column_generation(
-    Model& model, PricingOracle& oracle, LpBackend& backend,
     double pricing_tol = 1e-9, int max_rounds = 500);
 
 }  // namespace stripack::lp

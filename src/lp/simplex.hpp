@@ -46,7 +46,7 @@ enum class SolveStatus {
   /// The recovery ladder ran dry: a near-singular pivot or a failed basic
   /// residual check survived the bounded refactorize-and-retry rung and
   /// one cold restart. The solution carries no certificate (like
-  /// `IterationLimit`); callers fail over to another backend or treat the
+  /// `IterationLimit`); callers rebuild a fresh cold engine or treat the
   /// node as stalled. Never an assert, never an infinite loop.
   NumericalFailure,
 };

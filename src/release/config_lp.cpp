@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "lp/backend.hpp"
 #include "lp/colgen.hpp"
 #include "lp/simplex.hpp"
 #include "util/assert.hpp"
@@ -644,15 +643,8 @@ struct ConfigLpSolver::State {
     STRIPACK_EXPECTS(!p.releases.empty());
     STRIPACK_EXPECTS(p.demand.size() == p.releases.size());
     simplex_options.tol = options.tol;
-    simplex_options.pricing = options.pricing;
     simplex_options.stop = options.stop;
     simplex_options.fault = options.fault;
-    backend_name = options.backend;
-    // Fail fast on typos rather than at the first (possibly deep) solve.
-    if (!lp::has_lp_backend(backend_name)) {
-      throw std::invalid_argument("unknown LP backend '" + backend_name +
-                                  "'");
-    }
     model = build_rows(problem, layout);
     add_surplus_columns(model, layout, table);
     // Neutral rhs for deactivated LE branch rows: above the trivial
@@ -677,11 +669,8 @@ struct ConfigLpSolver::State {
   std::vector<BranchRow> branch_rows;
   double inactive_le_rhs = 0.0;
   lp::SimplexOptions simplex_options;
-  /// Registry name of the backend actually solving the master: the
-  /// configured `options.backend`, or "dense" after a rung-3 failover.
-  std::string backend_name;
   std::unique_ptr<KnapsackOracle> oracle;  // column-generation mode only
-  std::unique_ptr<lp::LpBackend> engine;   // see backend_name
+  std::unique_ptr<lp::SimplexEngine> engine;
   bool solved = false;
   /// Per-call recovery accumulators: reset at every public (re-)solve
   /// entry, summed over the `lp::Solution`s that call produced, copied
@@ -710,28 +699,22 @@ struct ConfigLpSolver::State {
     acc_cold_restarts += result.cold_restarts;
   }
 
-  // Backend failover (the ladder's last rung before giving up): the master
-  // model lives in this State, not in the backend, so the failing engine
-  // can be replaced wholesale by a fresh cold instance of the dense
-  // reference backend (or, when dense itself is the one failing, a fresh
-  // cold instance of the same backend — one last restart). Returns false
+  // Master failover (the ladder's last rung before giving up): the master
+  // model lives in this State, not in the engine, so the failing engine
+  // can be replaced wholesale by a fresh cold one over the same model
+  // (`simplex_options` never carries a warm-start basis). Returns false
   // only if even constructing the replacement throws.
   [[nodiscard]] bool failover_engine() {
     ++acc_master_failovers;
-    if (backend_name != "dense" && lp::has_lp_backend("dense")) {
-      backend_name = "dense";
-    }
-    lp::SimplexOptions cold = simplex_options;
-    cold.initial_basis.clear();
     try {
-      engine = lp::make_lp_backend(backend_name, model, cold);
+      engine = std::make_unique<lp::SimplexEngine>(model, simplex_options);
     } catch (const std::runtime_error&) {
       return false;
     }
     return true;
   }
 
-  // Cold initial solve with the failover wrapped around it: a backend that
+  // Cold initial solve with the failover wrapped around it: an engine that
   // throws or reports NumericalFailure is replaced (see failover_engine)
   // and the solve retried once; a second failure is reported honestly as
   // NumericalFailure, never an exception.
@@ -783,13 +766,13 @@ struct ConfigLpSolver::State {
     return out;
   }
 
-  // Dual re-solve with the backend-failover barrier: one attempt on the
-  // current engine; if it throws or its recovery ladder ran dry
-  // (NumericalFailure), the backend is replaced by a fresh cold dense
-  // reference instance (failover_engine) and the whole re-solve retried
-  // once — the model, column pool and branch rows all live here, so the
-  // replacement sees the exact same master. A second failure returns an
-  // honest NumericalFailure result; exceptions never escape.
+  // Dual re-solve with the failover barrier: one attempt on the current
+  // engine; if it throws or its recovery ladder ran dry
+  // (NumericalFailure), the engine is replaced by a fresh cold one
+  // (failover_engine) and the whole re-solve retried once — the model,
+  // column pool and branch rows all live here, so the replacement sees
+  // the exact same master. A second failure returns an honest
+  // NumericalFailure result; exceptions never escape.
   [[nodiscard]] FractionalSolution resolve() {
     reset_recovery();
     try {
@@ -894,7 +877,7 @@ FractionalSolution ConfigLpSolver::solve() {
     }
     s.table.configs = std::move(configs);
     s.reset_recovery();
-    s.engine = lp::make_lp_backend(s.backend_name, s.model, s.simplex_options);
+    s.engine = std::make_unique<lp::SimplexEngine>(s.model, s.simplex_options);
     const lp::Solution solution = s.guarded_cold_solve();
     s.solved = true;
     return s.finish(solution, solution.iterations, 0, 0);
@@ -921,12 +904,12 @@ FractionalSolution ConfigLpSolver::solve() {
   }
   s.oracle = std::make_unique<KnapsackOracle>(problem, s.layout, s.table,
                                               s.branch_rows);
-  s.engine = lp::make_lp_backend(s.backend_name, s.model, s.simplex_options);
+  s.engine = std::make_unique<lp::SimplexEngine>(s.model, s.simplex_options);
   s.reset_recovery();
-  // Cold column-generation run with the backend-failover barrier: a master
-  // that throws or fails numerically is rebuilt cold on the dense
-  // reference backend and the whole loop rerun once (columns priced before
-  // the failure stay in the model, so no pricing work is lost).
+  // Cold column-generation run with the failover barrier: a master that
+  // throws or fails numerically is rebuilt on a fresh cold engine and the
+  // whole loop rerun once (columns priced before the failure stay in the
+  // model, so no pricing work is lost).
   lp::ColgenResult result;
   bool failed = false;
   try {

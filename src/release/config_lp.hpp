@@ -43,7 +43,6 @@
 #include <utility>
 
 #include "core/instance.hpp"
-#include "lp/backend.hpp"
 #include "lp/simplex.hpp"
 #include "release/configurations.hpp"
 
@@ -107,10 +106,10 @@ struct FractionalSolution {
   std::size_t farkas_columns = 0;
   /// Recovery-ladder diagnostics, summed over every LP (re-)solve this
   /// result covers (see `lp::Solution`): forced refactorizations,
-  /// residual-check repairs, cold restarts inside one backend, and
-  /// `master_failovers` — full backend replacements after the primary
-  /// backend exhausted its ladder (`lp::SolveStatus::NumericalFailure`)
-  /// and the master was re-solved cold on the dense reference backend.
+  /// residual-check repairs, cold restarts inside one engine, and
+  /// `master_failovers` — engine replacements after the master threw or
+  /// exhausted its ladder (`lp::SolveStatus::NumericalFailure`) and was
+  /// re-solved on a fresh cold `lp::SimplexEngine`.
   int lp_refactor_retries = 0;
   int lp_residual_repairs = 0;
   int lp_cold_restarts = 0;
@@ -128,20 +127,10 @@ struct ConfigLpOptions {
   bool use_column_generation = false;
   std::size_t max_configurations = 2'000'000;
   double tol = 1e-9;
-  /// Entering-variable rule for the underlying simplex: Dantzig (the
-  /// default) or Bland.
-  lp::PricingRule pricing = lp::PricingRule::Dantzig;
   /// Ignored; kept only because the end-to-end harness sets it. Pricing
   /// is one stateless DFS, bounded by an exact knapsack DP whenever the
   /// widths sit on a common grid (denominator <= 4096).
   bool use_pricing_cache = false;
-  /// LP backend (lp/backend.hpp registry name) solving the master:
-  /// "simplex" (the production eta-file engine, default), "dense" (the
-  /// reference tableau simplex), or any name registered at runtime.
-  /// `solve_config_lp` throws std::invalid_argument on unknown names.
-  /// A master that throws or fails numerically on this backend fails over
-  /// to "dense" (rung 3 of the recovery ladder).
-  std::string backend = lp::kDefaultLpBackend;
   /// Cooperative cancellation, forwarded to every underlying LP solve
   /// (`SimplexOptions::stop`): once the token's flag flips or its
   /// deadline passes, solves stop at the next pivot boundary and report

@@ -65,7 +65,11 @@ struct ServiceOptions {
   /// Node budget for normally admitted requests.
   std::size_t node_budget = 10'000;
   /// Node budget under admission degradation: still a certified anytime
-  /// bracket, just a cheaper one.
+  /// bracket, just a cheaper one. Overload insurance only: diving needs
+  /// fewer nodes than this on every `bench_e2e` `service_classes`
+  /// request: raising `backlog_threshold` to 10^6 (no request degraded)
+  /// leaves its `certified_share` and `height_ratio` unchanged, digit for
+  /// digit.
   std::size_t degraded_node_budget = 64;
   /// A request finding this many same-class requests already queued is
   /// admitted degraded (`serve_stream` closes its batch before that).

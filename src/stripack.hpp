@@ -39,9 +39,7 @@
 #include "io/instance_io.hpp"              // IWYU pragma: export
 #include "io/svg.hpp"                      // IWYU pragma: export
 #include "kr/kr_aptas.hpp"                 // IWYU pragma: export
-#include "lp/backend.hpp"                  // IWYU pragma: export
 #include "lp/colgen.hpp"                   // IWYU pragma: export
-#include "lp/dense_backend.hpp"            // IWYU pragma: export
 #include "lp/model.hpp"                    // IWYU pragma: export
 #include "lp/simplex.hpp"                  // IWYU pragma: export
 #include "packers/exact.hpp"               // IWYU pragma: export

@@ -1,20 +1,16 @@
-// Backend-conformance kit: the executable statement of the `lp::LpBackend`
-// contract (lp/backend.hpp). Every test is parameterized over the backend
-// registry, so any registered backend — today the eta-file engine and the
-// dense reference simplex, tomorrow whatever gets plugged in — must pass
-// the same suite: cold certified optimality, warm re-solves with
-// `phase1_iterations == 0` (rows, rhs-only, columns, basis handoff), valid
-// Farkas certificates on infeasibility, and stop-token deadlines.
+// Engine-conformance kit: the executable statement of the resumable-LP
+// contract the configuration-LP master relies on (lp/simplex.hpp). The
+// eta-file `SimplexEngine` must pass: cold certified optimality, warm
+// re-solves with `phase1_iterations == 0` (rows, rhs-only, columns, basis
+// handoff), valid Farkas certificates on infeasibility, and stop-token
+// deadlines.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "lp/backend.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "lp_test_support.hpp"
@@ -22,14 +18,6 @@
 
 namespace stripack::lp {
 namespace {
-
-class BackendConformance : public ::testing::TestWithParam<std::string> {
- protected:
-  [[nodiscard]] std::unique_ptr<LpBackend> make(
-      const Model& model, const SimplexOptions& options = {}) const {
-    return make_lp_backend(GetParam(), model, options);
-  }
-};
 
 // A Farkas certificate must prove infeasibility of the *current* model:
 // y'a_c <= tol for every column, the sign matching each row's sense, and
@@ -63,17 +51,19 @@ void expect_valid_farkas(const Model& model, const Solution& solution,
   }
 }
 
-// Independent ground truth for status/objective: the free-function solve
-// (cold eta-file engine) — itself locked down by the differential suite.
+// Ground truth for status/objective: a cold free-function solve, itself
+// locked down against an independent dense-tableau reference by the
+// differential suite. The warm cases below re-solve an edited model and
+// must land where a cold solve of the edited model does.
 Solution reference(const Model& model) { return solve(model); }
 
-TEST_P(BackendConformance, ColdSolveCertifiedAgainstReference) {
+TEST(EngineConformance, ColdSolveCertifiedAgainstReference) {
   int optimal = 0, infeasible = 0;
   for (int seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     const Model model = random_covering_model(rng, 4, 10);
     const Solution expected = reference(model);
-    const Solution got = make(model)->solve();
+    const Solution got = SimplexEngine(model).solve();
     ASSERT_EQ(got.status, expected.status) << "seed " << seed;
     if (got.status == SolveStatus::Optimal) {
       ++optimal;
@@ -91,14 +81,14 @@ TEST_P(BackendConformance, ColdSolveCertifiedAgainstReference) {
   EXPECT_GT(infeasible, 0);
 }
 
-TEST_P(BackendConformance, WarmRowResolveSkipsPhase1) {
+TEST(EngineConformance, WarmRowResolveSkipsPhase1) {
   int resolved = 0;
   for (int seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
     Model model = random_covering_model(rng, 4, 10);
     if (!reference(model).optimal()) continue;
-    const auto backend = make(model);
-    const Solution first = backend->solve();
+    SimplexEngine engine(model);
+    const Solution first = engine.solve();
     ASSERT_EQ(first.status, SolveStatus::Optimal) << "seed " << seed;
     // Append a cut violated by the current optimum: sum of all variables
     // at most half its current value.
@@ -108,8 +98,8 @@ TEST_P(BackendConformance, WarmRowResolveSkipsPhase1) {
     std::vector<ColumnEntry> entries;
     for (int c = 0; c < model.num_cols(); ++c) entries.push_back({c, 1.0});
     model.add_row_with_entries(Sense::LE, 0.5 * total, entries);
-    backend->sync_rows();
-    const Solution warm = backend->solve_dual();
+    engine.sync_rows();
+    const Solution warm = engine.solve_dual();
     EXPECT_EQ(warm.phase1_iterations, 0) << "seed " << seed;
     const Solution cold = reference(model);
     ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
@@ -126,14 +116,14 @@ TEST_P(BackendConformance, WarmRowResolveSkipsPhase1) {
   EXPECT_GT(resolved, 0);
 }
 
-TEST_P(BackendConformance, RhsOnlyResolveIsPhase1Free) {
+TEST(EngineConformance, RhsOnlyResolveIsPhase1Free) {
   int tightened = 0;
   for (int seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
     Model model = random_covering_model(rng, 5, 12);
     if (!reference(model).optimal()) continue;
-    const auto backend = make(model);
-    ASSERT_EQ(backend->solve().status, SolveStatus::Optimal);
+    SimplexEngine engine(model);
+    ASSERT_EQ(engine.solve().status, SolveStatus::Optimal);
     // Tighten every covering row's demand in place — no new rows, so this
     // must ride the rhs-only fast path of sync_rows.
     bool changed = false;
@@ -145,8 +135,8 @@ TEST_P(BackendConformance, RhsOnlyResolveIsPhase1Free) {
     }
     if (!changed) continue;
     ++tightened;
-    backend->sync_rows();
-    const Solution warm = backend->solve_dual();
+    engine.sync_rows();
+    const Solution warm = engine.solve_dual();
     EXPECT_EQ(warm.phase1_iterations, 0) << "seed " << seed;
     const Solution cold = reference(model);
     ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
@@ -161,13 +151,13 @@ TEST_P(BackendConformance, RhsOnlyResolveIsPhase1Free) {
   EXPECT_GT(tightened, 0);
 }
 
-TEST_P(BackendConformance, ColumnSyncKeepsWarmStartsPhase1Free) {
+TEST(EngineConformance, ColumnSyncKeepsWarmStartsPhase1Free) {
   for (int seed = 1; seed <= 15; ++seed) {
     Rng rng(1000 + seed);
     Model model = random_covering_model(rng, 4, 6);
     if (!reference(model).optimal()) continue;
-    const auto backend = make(model);
-    ASSERT_EQ(backend->solve().status, SolveStatus::Optimal);
+    SimplexEngine engine(model);
+    ASSERT_EQ(engine.solve().status, SolveStatus::Optimal);
     // Grow the master by a few cheap columns, colgen-style.
     for (int extra = 0; extra < 3; ++extra) {
       std::vector<RowEntry> entries;
@@ -176,8 +166,8 @@ TEST_P(BackendConformance, ColumnSyncKeepsWarmStartsPhase1Free) {
       }
       model.add_column(rng.uniform(0.2, 1.0), entries);
     }
-    backend->sync_columns();
-    const Solution warm = backend->solve();
+    engine.sync_columns();
+    const Solution warm = engine.solve();
     ASSERT_EQ(warm.status, SolveStatus::Optimal) << "seed " << seed;
     EXPECT_EQ(warm.phase1_iterations, 0) << "seed " << seed;
     certify_optimal_solution(model, warm);
@@ -187,17 +177,17 @@ TEST_P(BackendConformance, ColumnSyncKeepsWarmStartsPhase1Free) {
   }
 }
 
-TEST_P(BackendConformance, BasisHandoffRestartsWithoutPhase1) {
+TEST(EngineConformance, BasisHandoffRestartsWithoutPhase1) {
   for (int seed = 1; seed <= 15; ++seed) {
     Rng rng(2000 + seed);
     const Model model = random_covering_model(rng, 5, 12);
     if (!reference(model).optimal()) continue;
-    const Solution first = make(model)->solve();
+    const Solution first = SimplexEngine(model).solve();
     ASSERT_EQ(first.status, SolveStatus::Optimal);
     ASSERT_EQ(static_cast<int>(first.basis.size()), model.num_rows());
     SimplexOptions options;
     options.initial_basis = first.basis;
-    const Solution warm = make(model, options)->solve();
+    const Solution warm = SimplexEngine(model, options).solve();
     ASSERT_EQ(warm.status, SolveStatus::Optimal) << "seed " << seed;
     EXPECT_EQ(warm.phase1_iterations, 0) << "seed " << seed;
     certify_optimal_solution(model, warm);
@@ -206,7 +196,7 @@ TEST_P(BackendConformance, BasisHandoffRestartsWithoutPhase1) {
   }
 }
 
-TEST_P(BackendConformance, ColdInfeasibleExportsFarkas) {
+TEST(EngineConformance, ColdInfeasibleExportsFarkas) {
   // x <= 1 conflicting with x + y >= 3, y absent elsewhere and capped out.
   Model model;
   const int le = model.add_row(Sense::LE, 1.0);
@@ -214,31 +204,31 @@ TEST_P(BackendConformance, ColdInfeasibleExportsFarkas) {
   const int cap = model.add_row(Sense::LE, 0.5);
   model.add_column(1.0, std::vector<RowEntry>{{le, 1.0}, {ge, 1.0}});
   model.add_column(1.0, std::vector<RowEntry>{{ge, 1.0}, {cap, 1.0}});
-  const Solution got = make(model)->solve();
+  const Solution got = SimplexEngine(model).solve();
   expect_valid_farkas(model, got);
 }
 
-TEST_P(BackendConformance, EqualityRowsSolveAndCertify) {
+TEST(EngineConformance, EqualityRowsSolveAndCertify) {
   Model model;
   const int eq = model.add_row(Sense::EQ, 2.0);
   const int le = model.add_row(Sense::LE, 3.0);
   model.add_column(1.0, std::vector<RowEntry>{{eq, 1.0}, {le, 1.0}});
   model.add_column(3.0, std::vector<RowEntry>{{eq, 1.0}});
-  const Solution got = make(model)->solve();
+  const Solution got = SimplexEngine(model).solve();
   ASSERT_EQ(got.status, SolveStatus::Optimal);
   certify_optimal_solution(model, got);
   EXPECT_NEAR(got.objective, 2.0, 1e-7);  // cheap column covers the equality
 }
 
-TEST_P(BackendConformance, UnboundedDetected) {
+TEST(EngineConformance, UnboundedDetected) {
   Model model;
   const int r = model.add_row(Sense::GE, 1.0);
   model.add_column(-1.0, std::vector<RowEntry>{{r, 1.0}});
-  const Solution got = make(model)->solve();
+  const Solution got = SimplexEngine(model).solve();
   EXPECT_EQ(got.status, SolveStatus::Unbounded);
 }
 
-TEST_P(BackendConformance, ExpiredDeadlineStopsColdAndWarmSolves) {
+TEST(EngineConformance, ExpiredDeadlineStopsColdAndWarmSolves) {
   // A token whose deadline has already passed stops at the first pivot
   // boundary — no helper thread involved — with IterationLimit and no
   // certificate, on a cold solve and on a warm dual re-solve alike.
@@ -251,33 +241,26 @@ TEST_P(BackendConformance, ExpiredDeadlineStopsColdAndWarmSolves) {
     if (!reference(model).optimal()) continue;
     SimplexOptions options;
     options.stop = expired;
-    const Solution cold = make(model, options)->solve();
+    const Solution cold = SimplexEngine(model, options).solve();
     EXPECT_EQ(cold.status, SolveStatus::IterationLimit) << "seed " << seed;
     EXPECT_TRUE(cold.farkas.empty()) << "seed " << seed;
 
-    const auto backend = make(model);
-    ASSERT_EQ(backend->solve().status, SolveStatus::Optimal);
+    SimplexEngine engine(model);
+    ASSERT_EQ(engine.solve().status, SolveStatus::Optimal);
     for (int r = 0; r < model.num_rows(); ++r) {
       if (model.row_sense(r) == Sense::GE) {
         model.set_row_rhs(r, 2.0 * model.row_rhs(r) + 0.5);
       }
     }
-    backend->sync_rows();
-    backend->set_stop(expired);
-    const Solution warm = backend->solve_dual();
+    engine.sync_rows();
+    engine.set_stop(expired);
+    const Solution warm = engine.solve_dual();
     EXPECT_EQ(warm.status, SolveStatus::IterationLimit) << "seed " << seed;
     EXPECT_TRUE(warm.farkas.empty()) << "seed " << seed;
     ++exercised;
   }
   EXPECT_GT(exercised, 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, BackendConformance,
-    ::testing::ValuesIn(lp_backend_names()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return info.param;
-    });
 
 }  // namespace
 }  // namespace stripack::lp

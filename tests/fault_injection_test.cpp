@@ -1,7 +1,7 @@
 // Fault-injection sweeps (util/fault_injection.hpp): seeded FaultPlans
 // drive every injected failure class — eta corruption, near-singular
 // pivots, thrown exceptions, tripped stop tokens — through the raw LP
-// backends, the configuration-LP solver (enumeration and column
+// engine, the configuration-LP solver (enumeration and column
 // generation) and full branch and price, asserting that each run ends in
 // a *documented* status with a valid bound bracket, that recovered runs
 // reproduce the fault-free optimum, and that the whole pipeline is
@@ -16,7 +16,6 @@
 #include "bnp/solver.hpp"
 #include "core/validate.hpp"
 #include "gen/hard_integral.hpp"
-#include "lp/backend.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "lp_test_support.hpp"
@@ -102,51 +101,49 @@ TEST(FaultInjector, ActionAndSiteNamesAreStable) {
   EXPECT_STREQ(to_string(FaultAction::TripStop), "trip-stop");
 }
 
-// Raw backend level, whole registry: a faulted solve must end in a
-// documented SolveStatus (certified when Optimal) or raise FaultInjected
-// for the containment layers above — never assert, hang, or return a
-// bogus certificate. Recovered Optimal runs must match the fault-free
-// objective exactly as a verdict (the basis may differ).
+// Raw engine level: a faulted solve must end in a documented SolveStatus
+// (certified when Optimal) or raise FaultInjected for the containment
+// layers above — never assert, hang, or return a bogus certificate.
+// Recovered Optimal runs must match the fault-free objective exactly as a
+// verdict (the basis may differ).
 TEST(FaultInjection, BackendsSurviveSeededPlans) {
   std::uint64_t total_fired = 0;
-  for (const std::string& backend : lp::lp_backend_names()) {
-    for (int seed = 1; seed <= 12; ++seed) {
-      Rng rng(500 + seed);
-      const lp::Model model = lp::random_covering_model(rng, 6, 18);
-      const lp::Solution baseline = lp::solve(model);
+  for (int seed = 1; seed <= 12; ++seed) {
+    Rng rng(500 + seed);
+    const lp::Model model = lp::random_covering_model(rng, 6, 18);
+    const lp::Solution baseline = lp::solve(model);
 
-      const FaultPlan plan = FaultPlan::random(
-          static_cast<std::uint64_t>(seed), 3, 40);
-      FaultInjector injector(plan);
-      lp::SimplexOptions options;
-      options.fault = &injector;
-      lp::Solution faulted;
-      bool threw = false;
-      try {
-        faulted = lp::make_lp_backend(backend, model, options)->solve();
-      } catch (const FaultInjected&) {
-        threw = true;  // contained by the failover layer in prod
-      }
-      total_fired += injector.fired();
-      if (threw) continue;
-      switch (faulted.status) {
-        case lp::SolveStatus::Optimal:
-          lp::certify_optimal_solution(model, faulted);
-          EXPECT_NEAR(faulted.objective, baseline.objective,
-                      kTol * (1.0 + std::fabs(baseline.objective)))
-              << backend << " seed " << seed;
-          break;
-        case lp::SolveStatus::Infeasible:
-          // A feasibility verdict must agree with the clean run.
-          EXPECT_EQ(baseline.status, lp::SolveStatus::Infeasible)
-              << backend << " seed " << seed;
-          break;
-        case lp::SolveStatus::IterationLimit:   // tripped stop token
-        case lp::SolveStatus::NumericalFailure:  // ladder ran dry
-          break;
-        default:
-          FAIL() << backend << " seed " << seed << ": undocumented status";
-      }
+    const FaultPlan plan =
+        FaultPlan::random(static_cast<std::uint64_t>(seed), 3, 40);
+    FaultInjector injector(plan);
+    lp::SimplexOptions options;
+    options.fault = &injector;
+    lp::Solution faulted;
+    bool threw = false;
+    try {
+      faulted = lp::SimplexEngine(model, options).solve();
+    } catch (const FaultInjected&) {
+      threw = true;  // contained by the failover layer in prod
+    }
+    total_fired += injector.fired();
+    if (threw) continue;
+    switch (faulted.status) {
+      case lp::SolveStatus::Optimal:
+        lp::certify_optimal_solution(model, faulted);
+        EXPECT_NEAR(faulted.objective, baseline.objective,
+                    kTol * (1.0 + std::fabs(baseline.objective)))
+            << "seed " << seed;
+        break;
+      case lp::SolveStatus::Infeasible:
+        // A feasibility verdict must agree with the clean run.
+        EXPECT_EQ(baseline.status, lp::SolveStatus::Infeasible)
+            << "seed " << seed;
+        break;
+      case lp::SolveStatus::IterationLimit:   // tripped stop token
+      case lp::SolveStatus::NumericalFailure:  // ladder ran dry
+        break;
+      default:
+        FAIL() << "seed " << seed << ": undocumented status";
     }
   }
   EXPECT_GT(total_fired, 0u);  // the sweep genuinely engaged the plans
@@ -219,6 +216,63 @@ TEST(FaultInjection, ConfigLpRecoversOrDegradesHonestly) {
   }
   EXPECT_GT(total_fired, 0u);
   EXPECT_GT(recoveries_observed, 0);  // the ladder actually climbed
+}
+
+// Rung 3 in isolation: a master that throws on its first pivot is
+// replaced by a fresh cold engine over the same model. The replacement
+// must reach the fault-free optimum, and later warm re-solves on it must
+// replay the fault-free solver's re-solves exactly — an infeasible cap
+// (Farkas pricing), a relaxed cap, and a tightened phase.
+TEST(FaultInjection, MasterFailoverReplaysTheFaultFreeSolver) {
+  const release::ConfigLpProblem problem = small_problem();
+  release::ConfigLpOptions options;
+  options.use_column_generation = true;
+  release::ConfigLpSolver clean(problem, options);
+
+  FaultPlan plan;
+  plan.events.push_back({FaultSite::Pivot, 1, FaultAction::Throw});
+  FaultInjector injector(plan);
+  options.fault = &injector;
+  release::ConfigLpSolver failed_over(problem, options);
+
+  const release::FractionalSolution base = clean.solve();
+  const release::FractionalSolution root = failed_over.solve();
+  ASSERT_EQ(base.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(injector.fired(), 1u);
+  EXPECT_EQ(root.master_failovers, 1);
+  ASSERT_EQ(root.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(root.objective, base.objective);
+
+  const double full = problem.releases[1] - problem.releases[0];
+  const auto expect_same = [](const release::FractionalSolution& want,
+                              const release::FractionalSolution& got,
+                              const char* step) {
+    EXPECT_EQ(got.status, want.status) << step;
+    EXPECT_EQ(got.objective, want.objective) << step;
+    EXPECT_EQ(got.master_failovers, 0) << step;
+    EXPECT_EQ(got.colgen_warm_phase1_iterations, 0) << step;
+  };
+  const auto infeasible_want =
+      clean.resolve_with_height_cap(0.5 * base.objective);
+  ASSERT_EQ(infeasible_want.status, lp::SolveStatus::Infeasible);
+  expect_same(infeasible_want,
+              failed_over.resolve_with_height_cap(0.5 * base.objective),
+              "infeasible cap");
+  const auto relaxed_want =
+      clean.resolve_with_height_cap(base.objective + 1.0);
+  ASSERT_EQ(relaxed_want.status, lp::SolveStatus::Optimal);
+  expect_same(relaxed_want,
+              failed_over.resolve_with_height_cap(base.objective + 1.0),
+              "relaxed cap");
+  clean.clear_height_cap();
+  failed_over.clear_height_cap();
+  const auto tight_want = clean.resolve_with_phase_capacity(0, 0.25 * full);
+  ASSERT_EQ(tight_want.status, lp::SolveStatus::Optimal);
+  EXPECT_GT(tight_want.dual_iterations, 0);
+  expect_same(tight_want,
+              failed_over.resolve_with_phase_capacity(0, 0.25 * full),
+              "tightened phase");
+  EXPECT_EQ(injector.fired(), 1u);
 }
 
 // Branch-and-price level: the anytime contract under injected faults.

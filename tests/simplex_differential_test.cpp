@@ -1,22 +1,17 @@
-// Randomized differential suite for the LP backends: every registered
-// `lp::LpBackend` — for the eta-file engine, every code path (pricing
-// rules x refactorization cadence) — is cross-checked
-// against a trivially-correct in-test dense tableau simplex on hundreds
-// of seeded random LPs. The in-test reference stays deliberately separate
-// from the shipped `lp/dense_backend` (which is itself a sweep subject):
-// it uses Bland's rule throughout and a full-tableau update with no
-// warm-start machinery at all, so any disagreement points at the backend
-// under test.
+// Randomized differential suite for the LP engine: every code path of the
+// eta-file `SimplexEngine` (pricing rules x refactorization cadence) is
+// cross-checked against a trivially-correct in-test dense tableau simplex
+// on hundreds of seeded random LPs. The reference uses Bland's rule
+// throughout and a full-tableau update with no warm-start machinery at
+// all, so any disagreement points at the engine under test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "lp/backend.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "lp_test_support.hpp"
@@ -223,41 +218,24 @@ Model random_grid_model(Rng& rng) {
 }
 
 struct DiffConfig {
-  std::string backend;
   PricingRule rule;
   int refactor_interval;
 };
 
-// Every registered backend, crossed with the knobs it honors: the eta-file
-// engine sweeps pricing x refactor cadence; other backends
-// (only `dense` today, but any future registration lands here too) ignore
-// the pricing knobs, so they sweep refactor cadence alone under the Bland
-// rule they actually implement.
+// Pricing rule x refactor cadence: every path the engine can take.
 std::vector<DiffConfig> all_configs() {
   std::vector<DiffConfig> configs;
-  for (const std::string& backend : lp_backend_names()) {
-    if (backend == kDefaultLpBackend) {
-      for (const PricingRule rule : {PricingRule::Dantzig, PricingRule::Bland}) {
-        for (const int interval : {1, 64, 1 << 30}) {
-          configs.push_back({backend, rule, interval});
-        }
-      }
-    } else {
-      for (const int interval : {1, 64, 1 << 30}) {
-        configs.push_back({backend, PricingRule::Bland, interval});
-      }
+  for (const PricingRule rule : {PricingRule::Dantzig, PricingRule::Bland}) {
+    for (const int interval : {1, 64, 1 << 30}) {
+      configs.push_back({rule, interval});
     }
   }
   return configs;
 }
 
 std::string config_name(const ::testing::TestParamInfo<DiffConfig>& info) {
-  std::string name = info.param.backend;
-  if (!name.empty()) {
-    name[0] = static_cast<char>(
-        std::toupper(static_cast<unsigned char>(name[0])));
-  }
-  name += info.param.rule == PricingRule::Dantzig ? "Dantzig" : "Bland";
+  std::string name =
+      info.param.rule == PricingRule::Dantzig ? "Dantzig" : "Bland";
   name += info.param.refactor_interval == 1
               ? "Eager"
               : (info.param.refactor_interval > 1000 ? "Lazy" : "Default");
@@ -279,7 +257,7 @@ TEST_P(SimplexDifferential, AgreesWithDenseTableauReference) {
     Rng rng(1000 + seed);
     const Model m = random_grid_model(rng);
     const RefSolution ref = reference_solve(m);
-    const Solution sol = make_lp_backend(config.backend, m, options)->solve();
+    const Solution sol = SimplexEngine(m, options).solve();
 
     switch (ref.status) {
       case RefStatus::Infeasible:
@@ -313,7 +291,7 @@ TEST_P(SimplexDifferential, AgreesWithDenseTableauReference) {
   EXPECT_GT(unbounded, 20);
 }
 
-INSTANTIATE_TEST_SUITE_P(BackendRegistry, SimplexDifferential,
+INSTANTIATE_TEST_SUITE_P(Engine, SimplexDifferential,
                          ::testing::ValuesIn(all_configs()), config_name);
 
 }  // namespace

@@ -125,17 +125,6 @@ TEST(Umbrella, Lp) {
   const lp::Solution solution = lp::solve(model);
   ASSERT_TRUE(solution.optimal());
   EXPECT_DOUBLE_EQ(solution.objective, 2.0);
-
-  // The backend registry and the dense reference backend are reachable
-  // through the umbrella.
-  EXPECT_TRUE(lp::has_lp_backend(lp::kDefaultLpBackend));
-  EXPECT_TRUE(lp::has_lp_backend("dense"));
-  const lp::Solution dense =
-      lp::make_lp_backend("dense", model, lp::SimplexOptions{})->solve();
-  ASSERT_TRUE(dense.optimal());
-  EXPECT_DOUBLE_EQ(dense.objective, 2.0);
-  lp::DenseTableauBackend direct(model, {});
-  EXPECT_STREQ(direct.name(), "dense");
 }
 
 // kr: Kenyon–Rémila APTAS for plain strip packing.
