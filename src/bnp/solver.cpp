@@ -401,6 +401,17 @@ struct Search {
     return std::max(0.0, tree.incumbent() - 0.9);
   }
 
+  // The incumbent cutoff on an integer-rounded bound: a subtree whose
+  // bound meets the incumbent holds nothing strictly better.
+  [[nodiscard]] bool cut_off(double bound) const {
+    return bound >= tree.incumbent() - 0.5;
+  }
+
+  // A node LP objective rounded up to the integer bound it certifies.
+  [[nodiscard]] double rounded_bound(double objective) const {
+    return std::ceil(objective - tol * (1.0 + objective));
+  }
+
   // Stall-gate observation: called once per node of the node loop,
   // *before* the pop — a pure function of tree state at that boundary.
   void observe_bound() {
@@ -439,9 +450,8 @@ struct Search {
   // Process one solved node: prune by (integer-rounded) bound, harvest an
   // integral solution, or branch on the selected candidate.
   void process(int id, const release::FractionalSolution& sol) {
-    const double bound =
-        std::ceil(sol.objective - tol * (1.0 + sol.objective));
-    if (bound >= tree.incumbent() - 0.5) return;
+    const double bound = rounded_bound(sol.objective);
+    if (cut_off(bound)) return;
     const std::map<PatternKey, double> totals = aggregate_patterns(sol);
     const auto branch =
         select_branch(totals, tol, pseudo_costs, pseudo_costs_active());
@@ -481,11 +491,15 @@ struct Search {
 // fractional pair candidates, seeding the pseudo-cost table with real
 // per-unit gains before the first branching decision. Runs on the shared
 // master (probe rows are parked again afterwards and the master is
-// re-solved back to its root state).
+// re-solved back to its root state). A root the incumbent already cuts
+// off never branches, so it gets no probes: they change neither the
+// incumbent nor the bound, and the pseudo costs they seed would go
+// unread.
 void strong_branch_root(Search& search,
                         const release::FractionalSolution& root) {
   const int probes = search.options.strong_branching_probes;
   if (probes <= 0 || !search.options.pseudo_cost_branching) return;
+  if (search.cut_off(search.rounded_bound(root.objective))) return;
   const std::map<PatternKey, double> totals = aggregate_patterns(root);
   std::vector<BranchCandidate> candidates =
       branch_candidates(totals, search.tol);
@@ -605,7 +619,7 @@ void run_search(Search& search, const lp::StopToken& stop) {
     }
     search.observe_bound();
     std::optional<int> id = tree.pop_best();
-    while (id && tree.node(*id).bound >= tree.incumbent() - 0.5) {
+    while (id && search.cut_off(tree.node(*id).bound)) {
       id = tree.pop_best();
     }
     if (!id) break;
@@ -714,10 +728,8 @@ BnpResult solve_impl(const Instance& instance, const BnpOptions& options,
   STRIPACK_ASSERT(root.status != lp::SolveStatus::Infeasible,
                   "the configuration LP is always feasible");
 
-  search.tree.add_root(
-      root.feasible
-          ? std::ceil(root.objective - local.tol * (1.0 + root.objective))
-          : 0.0);
+  search.tree.add_root(root.feasible ? search.rounded_bound(root.objective)
+                                     : 0.0);
 
   // Incumbent: the trivial stack, improved by the root rounding.
   search.incumbent = trivial_incumbent(problem);

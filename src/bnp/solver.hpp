@@ -96,8 +96,10 @@ struct BnpOptions {
   bool pseudo_cost_branching = true;
   /// Strong-branching probes at the root: the top-K most fractional pair
   /// candidates get both children's LPs solved to initialize pseudo
-  /// costs. 0 disables (pseudo costs then start from search observations
-  /// only).
+  /// costs. Probes run only on a root the incumbent leaves open (one
+  /// that branches); a root whose rounded bound already meets the
+  /// incumbent is closed without them. 0 disables (pseudo costs then
+  /// start from search observations only).
   int strong_branching_probes = 4;
   /// Auto-gate for pseudo-cost branching (the n=120 regression fix):
   /// fall back to most-fractional selection once the proven dual bound
@@ -129,7 +131,9 @@ struct BnpResult {
   // Search diagnostics.
   std::size_t nodes = 0;          // processed
   std::size_t nodes_created = 0;  // including never-popped children
-  std::size_t branch_rows = 0;    // distinct rows in the master
+  /// Distinct branch rows this solve touched (probed or on a node's
+  /// path); a warm master can hold more, left by earlier requests.
+  std::size_t branch_rows = 0;
   std::size_t columns = 0;        // master columns at the end
   std::int64_t lp_iterations = 0;
   std::int64_t dual_iterations = 0;
@@ -142,7 +146,8 @@ struct BnpResult {
   std::size_t batches = 0;
   /// Always 0: kept only for the end-to-end harness, which still reads it.
   std::size_t cutoff_pruned_nodes = 0;
-  /// Root strong-branching child LPs solved to initialize pseudo costs.
+  /// Root strong-branching child LPs solved to initialize pseudo costs;
+  /// 0 when the root closes without branching.
   std::size_t strong_branch_probes = 0;
   /// Recovery / anytime diagnostics: recovery-ladder activity summed over
   /// every LP (re-)solve (see `release::FractionalSolution`) and master

@@ -430,6 +430,51 @@ TEST(Bnp, PseudoCostBranchingStaysExactOnGapFamilies) {
   }
 }
 
+// A request-shaped instance: 4-12 items over 2-4 distinct widths in
+// 0.15-0.60, heights 1-4, releases in {0, 2, 4}.
+Instance service_shaped_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int> pool;
+  for (int w = 15; w <= 60; ++w) pool.push_back(w);
+  rng.shuffle(pool);
+  pool.resize(static_cast<std::size_t>(rng.uniform_int(2, 4)));
+  const auto n = static_cast<std::size_t>(rng.uniform_int(4, 12));
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int w = pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    const double h = static_cast<double>(rng.uniform_int(1, 4));
+    const double r = 2.0 * static_cast<double>(rng.uniform_int(0, 2));
+    items.push_back(Item{Rect{static_cast<double>(w) / 100.0, h}, r});
+  }
+  return Instance(std::move(items), 1.0);
+}
+
+TEST(Bnp, ClosedRootsRunNoStrongBranchingProbes) {
+  // A root whose rounded bound already meets the rounding incumbent is
+  // closed without branching, so root probes there would only seed pseudo
+  // costs nobody reads: such a solve must spend none and be exactly the
+  // probe-free solve. Roots that branch must still be probed.
+  BnpOptions no_probes;
+  no_probes.strong_branching_probes = 0;
+  int closed_roots = 0;
+  int probed_trees = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const Instance instance = service_shaped_instance(seed);
+    const BnpResult probed = solve(instance);
+    if (probed.nodes > 1) {
+      if (probed.strong_branch_probes > 0) ++probed_trees;
+      continue;
+    }
+    ++closed_roots;
+    const std::string label = "seed " + std::to_string(seed);
+    EXPECT_EQ(probed.strong_branch_probes, 0u) << label;
+    expect_bit_identical(probed, solve(instance, no_probes), label);
+  }
+  EXPECT_GT(closed_roots, 0);
+  EXPECT_GT(probed_trees, 0);
+}
+
 TEST(Bnp, NodeBudgetBitingMidSearchKeepsAValidBracket) {
   // A node budget smaller than the tree must yield NodeLimit with a
   // bracket that still sandwiches the true optimum when the budget bites
