@@ -2,8 +2,7 @@
 //
 //   $ ./stripack_served [--stdin] [--host H] [--port P] [--workers N]
 //                       [--node-budget N] [--degraded-budget N]
-//                       [--backlog N] [--cache-capacity N]
-//                       [--cache-staleness N] [--time-limit SEC]
+//                       [--backlog N] [--cache-capacity N] [--time-limit SEC]
 //                       [--max-request-bytes N] [--read-deadline SEC]
 //                       [--write-deadline SEC] [--solve-deadline SEC]
 //                       [--drain-seconds SEC] [--max-connections N]
@@ -51,12 +50,11 @@ int usage() {
   std::cerr
       << "usage: stripack_served [--stdin] [--host H] [--port P]\n"
          "  [--workers N] [--node-budget N] [--degraded-budget N]\n"
-         "  [--backlog N] [--cache-capacity N] [--cache-staleness N]\n"
-         "  [--time-limit SEC] [--max-request-bytes N]\n"
-         "  [--read-deadline SEC] [--write-deadline SEC]\n"
-         "  [--solve-deadline SEC] [--drain-seconds SEC]\n"
-         "  [--max-connections N] [--degrade-backlog N]\n"
-         "  [--shed-backlog N]\n"
+         "  [--backlog N] [--cache-capacity N] [--time-limit SEC]\n"
+         "  [--max-request-bytes N] [--read-deadline SEC]\n"
+         "  [--write-deadline SEC] [--solve-deadline SEC]\n"
+         "  [--drain-seconds SEC] [--max-connections N]\n"
+         "  [--degrade-backlog N] [--shed-backlog N]\n"
          "serves stripack-instance v1 request frames over TCP (frame =\n"
          "\"SPK1\" + u32 big-endian length + document); prints\n"
          "`listening <host> <port>` on stdout once bound; SIGTERM/SIGINT\n"
@@ -150,9 +148,6 @@ int main(int argc, char** argv) {
       } else if (flag == "--cache-capacity") {
         if (!next_count(count)) return usage();
         options.service.cache_capacity = static_cast<std::size_t>(count);
-      } else if (flag == "--cache-staleness") {
-        if (!next_count(count)) return usage();
-        options.service.cache_staleness = static_cast<std::size_t>(count);
       } else if (flag == "--time-limit") {
         if (!next_seconds(options.service.request_time_limit)) {
           return usage();

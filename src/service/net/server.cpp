@@ -34,6 +34,24 @@ constexpr std::uint64_t kEventKey = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
+/// How long a handoff thread polls for work before it parks. Waking a
+/// parked thread costs tens of microseconds on a small VM, a large share
+/// of a served round trip, so both handoffs (the solver thread waiting for
+/// jobs, the epoll loop waiting for results and frames) poll this long
+/// first. Scheduling only: it decides when a thread sleeps, never what a
+/// request gets. The frontier it was chosen from is in
+/// docs/ARCHITECTURE.md ("Warm-master isolation").
+constexpr std::chrono::microseconds kSpinBeforePark{50};
+
+/// Polls `ready` until it returns true or `kSpinBeforePark` elapses,
+/// yielding between empty polls (without the yield the tail latency
+/// measured worse).
+template <typename Poll>
+void spin_before_park(Poll&& ready) {
+  const Clock::time_point until = Clock::now() + kSpinBeforePark;
+  while (!ready() && Clock::now() < until) std::this_thread::yield();
+}
+
 [[nodiscard]] Clock::duration seconds_to_duration(double seconds) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(seconds));
@@ -470,6 +488,10 @@ struct StripackServer::Impl {
   // dies, mirroring the PR 7 worker-pool containment.
   void solver_loop() {
     for (;;) {
+      // `backlog` rises before a job is queued, so a nonzero read means
+      // the lock below finds (or is about to be notified of) work.
+      spin_before_park(
+          [&] { return backlog.load(std::memory_order_relaxed) > 0; });
       std::vector<SolveJob> batch;
       {
         std::unique_lock<std::mutex> lock(mutex);
@@ -626,8 +648,19 @@ bool StripackServer::run() {
                                        left + 1, 1000));
     }
 
-    const int n = ::epoll_wait(im.epoll.get(), events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+    // Poll before parking, except when a deadline is already due.
+    int n = 0;
+    if (timeout_ms != 0) {
+      spin_before_park([&] {
+        n = ::epoll_wait(im.epoll.get(), events.data(),
+                         static_cast<int>(events.size()), 0);
+        return n != 0;
+      });
+    }
+    if (n == 0) {
+      n = ::epoll_wait(im.epoll.get(), events.data(),
+                       static_cast<int>(events.size()), timeout_ms);
+    }
     if (n < 0) {
       STRIPACK_ASSERT(errno == EINTR,
                       std::string("epoll_wait: ") + std::strerror(errno));

@@ -40,6 +40,16 @@
 //    solve just orphans its result (dropped on arrival). The masters
 //    never observe connection failures, so a killed connection cannot
 //    poison the column pools the next request reuses.
+//  - Spin before park: waking a parked thread costs tens of
+//    microseconds on a small VM, a large share of a served round trip.
+//    So at both handoffs (the solver thread waiting for jobs, the epoll
+//    loop waiting for results and frames) the thread polls for a fixed
+//    50 us, yielding between empty polls, before it blocks; the epoll
+//    loop skips the poll when a deadline is already due. The budget is
+//    scheduling, not a response-path budget: it decides only when a
+//    thread sleeps, never what a request gets, so response bytes and
+//    admission counts are unchanged. It buys latency with CPU, and an
+//    idle server still parks both threads.
 //  - Graceful drain: `request_drain()` (async-signal-safe; wired to
 //    SIGTERM by examples/stripack_served) closes the listener, lets
 //    in-flight solves finish and their responses flush for up to

@@ -95,8 +95,8 @@ struct SolverService::ClassState {
   /// Admission queue: appended under Sync::mutex (enqueue is safe during
   /// run()), snapshotted-and-cleared under the same lock by run().
   std::vector<Pending> pending;
-  /// Requests this class has processed, ever — the clock staleness and
-  /// eviction are measured against.
+  /// Requests this class has processed, ever — the fill order eviction
+  /// is measured against.
   std::size_t tick = 0;
   /// Only certified-optimal results are cached: a budget-truncated
   /// bracket computed for one (possibly degraded) request must not be
@@ -178,8 +178,7 @@ void SolverService::process_class(ClassState& cls, std::vector<Pending>& batch,
     ++cls.tick;
 
     const auto hit = cls.cache.find(p.request.key);
-    if (hit != cls.cache.end() &&
-        cls.tick - hit->second.tick <= options_.cache_staleness) {
+    if (hit != cls.cache.end()) {
       const ClassState::CacheEntry& entry = hit->second;
       r.ok = true;
       r.cache_hit = true;

@@ -21,8 +21,10 @@
 // wall clock), so admission decisions replay deterministically.
 //
 // Result cache: per class, keyed by the canonical instance (permutation-
-// and scaling-invariant), with a bounded staleness measured in class-
-// local request ticks — again no wall clock, so hits replay exactly.
+// and scaling-invariant). Only certified-optimal results are admitted,
+// and an optimum never goes stale, so an entry is served until capacity
+// evicts it — oldest fill first, counted in class-local request ticks
+// (no wall clock), so hits replay exactly.
 //
 // Determinism: `run()` processes every class's queue FIFO in stream
 // order; distinct classes are independent (separate masters, caches and
@@ -79,9 +81,6 @@ struct ServiceOptions {
   double request_time_limit = 0.0;
   /// Result-cache entries kept per class (oldest evicted).
   std::size_t cache_capacity = 64;
-  /// Bounded staleness: a cache entry older than this many class-local
-  /// request ticks is re-solved (and refreshed) instead of served.
-  std::size_t cache_staleness = 1024;
 };
 
 struct ServiceResponse {

@@ -1,8 +1,8 @@
 // Result-cache canonical-key tests: the metamorphic pair (permuting item
 // order, rescaling all widths with the strip by a common factor) must
 // map to the same cache identity, while a change in release times only —
-// same widths, same heights — must not collide. Plus the bounded-
-// staleness and capacity-eviction mechanics of the per-class cache.
+// same widths, same heights — must not collide. Plus the capacity-
+// eviction mechanics of the per-class cache.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -136,21 +136,6 @@ TEST(ServiceCache, ReleaseVariantsDoNotShareEntries) {
   EXPECT_FALSE(responses[1].cache_hit);
   // The released variant cannot start item 0 before y = 1.
   EXPECT_GE(responses[1].height, responses[0].height);
-}
-
-TEST(ServiceCache, StalenessBoundForcesResolve) {
-  ServiceOptions options;
-  options.cache_staleness = 1;
-  SolverService service(options);
-  const Instance instance = make({{4, 2, 0}, {6, 2, 0}}, 10);
-  (void)service.enqueue(instance);  // tick 1: solve, entry at tick 1
-  (void)service.enqueue(instance);  // tick 2: age 1 <= 1, hit
-  (void)service.enqueue(instance);  // tick 3: age 2 > 1, stale re-solve
-  const std::vector<ServiceResponse> responses = service.run();
-  ASSERT_EQ(responses.size(), 3u);
-  EXPECT_FALSE(responses[0].cache_hit);
-  EXPECT_TRUE(responses[1].cache_hit);
-  EXPECT_FALSE(responses[2].cache_hit);
 }
 
 TEST(ServiceCache, CapacityEvictsOldestEntry) {

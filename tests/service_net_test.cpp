@@ -4,6 +4,7 @@
 // taxonomy — every fault must end in a documented structured error or a
 // clean close, never a hang, a crash, or a poisoned warm master.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <atomic>
@@ -25,6 +26,17 @@ namespace stripack::service::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// User plus system CPU time this process has used, all threads.
+std::chrono::microseconds process_cpu_time() {
+  rusage usage{};
+  EXPECT_EQ(::getrusage(RUSAGE_SELF, &usage), 0);
+  const auto to_us = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return to_us(usage.ru_utime) + to_us(usage.ru_stime);
+}
 
 Instance make(const std::vector<std::array<double, 3>>& rows,
               double strip) {
@@ -534,6 +546,25 @@ TEST(StripackServer, DrainDeliversInFlightResponseAndExitsClean) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_NE(result.body.find("status optimal"), std::string::npos)
       << result.body;
+}
+
+TEST(StripackServer, IdleServerParksItsThreads) {
+  // Both handoffs poll briefly for work before they park. An idle server
+  // must park: 300 ms of idling costs far less than 300 ms of CPU, and a
+  // drain still wakes the parked loop promptly.
+  TestServer server(ServerOptions{});
+  FrameClient client(server.client_options());
+  const ClientResult r = client.request(instance_text(make({{4, 2, 0}}, 10)));
+  ASSERT_TRUE(r.ok) << r.error;
+  const auto cpu_before = process_cpu_time();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto idle_cpu = process_cpu_time() - cpu_before;
+  EXPECT_LT(idle_cpu, std::chrono::milliseconds(60))
+      << "idle server used " << idle_cpu.count() << " us of CPU in 300 ms";
+  const auto drain_start = Clock::now();
+  server.stop();
+  EXPECT_LT(Clock::now() - drain_start, std::chrono::seconds(1));
+  EXPECT_TRUE(server.clean());
 }
 
 // --- concurrent soak -------------------------------------------------------
